@@ -17,6 +17,7 @@ from .codes import (
     IsodualWitness,
     MinDistanceResult,
     WeightEnumerator,
+    ZeroCodeError,
     distance_bound,
     gleason_fit,
     is_parity_check,

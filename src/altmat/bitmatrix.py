@@ -2,13 +2,51 @@
 
 Rows are packed into Python ints (bit j = column j), so whole-row XOR and
 masking are single int operations and sizes in the thousands of columns
-stay cheap. All values are immutable after construction.
+stay cheap. Nothing walks a row one bit at a time: transposes and column
+picks go through the binary numerals of whole rows (``format(w, "0nb")``
+and ``int(s, 2)``), and sparse walks step from one set bit to the next
+(``w & -w``).
+
+GF(2) elimination has one kernel, ``gf2_basis``: each row is reduced by the
+basis member that owns its lowest set bit until it vanishes or owns a new
+lowest bit. Rank, span membership and codeword enumeration read that basis
+directly; the reduced row echelon form, needed only to write down a
+solution, comes from back-substitution on it (``gf2_rref``). All values are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_bits(bits: Sequence[int]) -> int:
+    """Packed int with bit i = bits[i]; every entry must be 0 or 1."""
+    if not set(bits) <= {0, 1}:
+        bad = next(e for e in bits if e not in (0, 1))
+        raise ValueError(f"entry {bad!r} is not a bit")
+    return int(bytes(reversed(bits)).translate(_BIT_CHARS) or b"0", 2)
+
+
+def unpack_bits(word: int, width: int) -> tuple[int, ...]:
+    """(bit 0, ..., bit width-1) of word, as 0/1 ints."""
+    return tuple(format(word, f"0{width}b")[::-1].encode().translate(_BIT_VALUES))
+
+
+def _columns(words: Sequence[int], width: int) -> list[int]:
+    """Rows of the flip transpose: entry p is column width-1-p, read bottom up.
+
+    Row i written as a width-digit binary numeral has column width-1-p at
+    digit p. Zipping the numerals gives one digit tuple per column, and that
+    tuple read as a numeral has row rows-1-i at bit i.
+    """
+    numeral = f"0{width}b"
+    return [int("".join(col), 2) for col in zip(*(format(w, numeral) for w in words))]
 
 
 @dataclass(frozen=True)
@@ -40,12 +78,7 @@ class BitMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            word = 0
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError(f"entry {e!r} is not a bit")
-                word |= e << j
-            words.append(word)
+            words.append(pack_bits(row))
         return cls(len(rows), ncols, tuple(words))
 
     @classmethod
@@ -83,16 +116,14 @@ class BitMatrix:
         """Column indices of the ones in row i, ascending."""
         word = self.bits[i]
         out = []
-        j = 0
         while word:
-            if word & 1:
-                out.append(j)
-            word >>= 1
-            j += 1
+            low = word & -word
+            out.append(low.bit_length() - 1)
+            word ^= low
         return out
 
     def to_lists(self) -> list[list[int]]:
-        return [[(w >> j) & 1 for j in range(self.cols)] for w in self.bits]
+        return [list(unpack_bits(w, self.cols)) for w in self.bits]
 
     # -- sums and simple transforms ----------------------------------------
 
@@ -100,26 +131,12 @@ class BitMatrix:
         return tuple(w.bit_count() for w in self.bits)
 
     def col_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.cols
-        for w in self.bits:
-            j = 0
-            while w:
-                if w & 1:
-                    sums[j] += 1
-                w >>= 1
-                j += 1
-        return tuple(sums)
+        return tuple(w.bit_count() for w in self.transpose().bits)
 
     def transpose(self) -> "BitMatrix":
-        words = [0] * self.cols
-        for i, w in enumerate(self.bits):
-            j = 0
-            while w:
-                if w & 1:
-                    words[j] |= 1 << i
-                w >>= 1
-                j += 1
-        return BitMatrix(self.cols, self.rows, tuple(words))
+        # the flip transpose of the row-reversed matrix, rows read bottom up
+        words = _columns(self.bits[::-1], self.cols)
+        return BitMatrix(self.cols, self.rows, tuple(reversed(words)))
 
     def complement(self) -> "BitMatrix":
         """All-ones matrix of the same shape minus self."""
@@ -134,13 +151,15 @@ class BitMatrix:
         )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BitMatrix":
-        words = []
-        for i in row_idx:
-            src = self.bits[i]
-            word = 0
-            for t, j in enumerate(col_idx):
-                word |= ((src >> j) & 1) << t
-            words.append(word)
+        if not col_idx:
+            raise ValueError("matrix must have at least one row and one column")
+        if min(col_idx) < 0 or max(col_idx) >= self.cols:
+            raise IndexError("column index out of range")
+        # digit cols-1-j of a row's numeral is column j; picking the digits
+        # of the kept columns last to first spells the new row's numeral
+        pick = itemgetter(*[self.cols - 1 - j for j in reversed(col_idx)])
+        numeral = f"0{self.cols}b"
+        words = [int("".join(pick(format(self.bits[i], numeral))), 2) for i in row_idx]
         return BitMatrix(len(row_idx), len(col_idx), tuple(words))
 
     def permute_columns(self, perm: Sequence[int]) -> "BitMatrix":
@@ -199,34 +218,27 @@ def compose(
 
 def flip_transpose(a: BitMatrix) -> BitMatrix:
     """Reflection across the anti-diagonal: result(i,j) = a(rows-j+1, cols-i+1)."""
-    r, c = a.rows, a.cols
-    words = []
-    for i in range(c):
-        word = 0
-        for j in range(r):
-            word |= ((a.bits[r - 1 - j] >> (c - 1 - i)) & 1) << j
-        words.append(word)
-    return BitMatrix(c, r, tuple(words))
+    return BitMatrix(a.cols, a.rows, tuple(_columns(a.bits, a.cols)))
 
 
 # -- GF(2) linear algebra -----------------------------------------------------
+
+
+def gf2_vecmat(x_word: int, rows: Sequence[int]) -> int:
+    """x·M over GF(2): the XOR of rows[j] over the set bits j of x_word."""
+    acc = 0
+    while x_word:
+        low = x_word & -x_word
+        acc ^= rows[low.bit_length() - 1]
+        x_word ^= low
+    return acc
 
 
 def gf2_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise ValueError("inner dimension mismatch")
-    words = []
-    for w in a.bits:
-        acc = 0
-        j = 0
-        while w:
-            if w & 1:
-                acc ^= b.bits[j]
-            w >>= 1
-            j += 1
-        words.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(words))
+    return BitMatrix(a.rows, b.cols, tuple(gf2_vecmat(w, b.bits) for w in a.bits))
 
 
 def gf2_matvec(a: BitMatrix, x_word: int) -> int:
@@ -237,43 +249,59 @@ def gf2_matvec(a: BitMatrix, x_word: int) -> int:
     return out
 
 
-def gf2_eliminate(words: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place RREF over GF(2); returns (reduced rows, pivot column list).
+def gf2_reduce(basis: dict[int, int], word: int) -> int:
+    """What is left of word after clearing each lowest set bit a member owns.
 
-    Pivot choice is the first nonzero entry scanning columns left to right
-    and rows top to bottom, so results are reproducible.
+    Zero exactly when word lies in the span of the basis.
     """
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= len(words):
+    while word:
+        member = basis.get(word & -word)
+        if member is None:
             break
-        sel = None
-        for i in range(r, len(words)):
-            if (words[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        words[r], words[sel] = words[sel], words[r]
-        for i in range(len(words)):
-            if i != r and (words[i] >> c) & 1:
-                words[i] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return words, pivots
+        word ^= member
+    return word
+
+
+def gf2_basis(words: Iterable[int]) -> dict[int, int]:
+    """XOR basis of the span of words, keyed by each member's lowest set bit.
+
+    Each word is reduced against the members before it and kept if anything
+    is left, so the keys are distinct: their bit positions are the pivot
+    columns of the row space (leftmost pivots), and their number is its rank.
+    """
+    basis: dict[int, int] = {}
+    for w in words:
+        w = gf2_reduce(basis, w)
+        if w:
+            basis[w & -w] = w
+    return basis
+
+
+def gf2_rref(basis: dict[int, int]) -> list[int]:
+    """Reduced row echelon form of the basis' span, by back-substitution.
+
+    Rows come in pivot order (lowest set bit ascending), and each is zero in
+    every other row's pivot column. The RREF of a row space is unique, so
+    this is what Gauss-Jordan elimination column by column would give.
+    """
+    lows = sorted(basis)
+    pivot_mask = sum(lows)
+    reduced: dict[int, int] = {}
+    for low in reversed(lows):
+        w = basis[low]
+        # members above this one are already reduced: each clears only its pivot
+        hits = (w & pivot_mask) ^ low
+        while hits:
+            q = hits & -hits
+            w ^= reduced[q]
+            hits ^= q
+        reduced[low] = w
+    return [reduced[low] for low in lows]
 
 
 def gf2_rank(a: BitMatrix) -> int:
     """Rank over the two-element field."""
-    _, pivots = gf2_eliminate(list(a.bits), a.cols)
-    return len(pivots)
-
-
-def gf2_row_basis(a: BitMatrix) -> list[int]:
-    """Deterministic basis (packed rows) of the GF(2) row space."""
-    words, pivots = gf2_eliminate(list(a.bits), a.cols)
-    return words[: len(pivots)]
+    return len(gf2_basis(a.bits))
 
 
 def gf2_solve(a: BitMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
@@ -284,14 +312,13 @@ def gf2_solve(a: BitMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length must equal the row count")
-    aug = [w | (int(b) & 1) << a.cols for w, b in zip(a.bits, rhs)]
-    words, pivots = gf2_eliminate(aug, a.cols)
-    for w in words[len(pivots) :]:
-        if w >> a.cols:
-            return None
+    basis = gf2_basis(w | (int(b) & 1) << a.cols for w, b in zip(a.bits, rhs))
+    # a member whose lowest bit is the rhs column reads 0 = 1
+    if (1 << a.cols) in basis:
+        return None
     x = [0] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = (words[r] >> a.cols) & 1
+    for w in gf2_rref(basis):
+        x[(w & -w).bit_length() - 1] = w >> a.cols
     return tuple(x)
 
 

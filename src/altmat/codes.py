@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bitmatrix import BitMatrix, gf2_mul, gf2_rank, gf2_row_basis
+from .bitmatrix import BitMatrix, gf2_basis, gf2_mul, gf2_rank, gf2_reduce, unpack_bits
 from .families import build_a, build_b
 
 ENUMERATION_LIMIT = 24
@@ -27,6 +27,17 @@ ENUMERATION_LIMIT = 24
 # coefficients by x-degree; both polynomials are homogeneous in (x, y)
 G1 = {0: 1, 2: 1}  # y^2 + x^2
 G2 = {2: 1, 4: -2, 6: 1}  # x^2 y^2 (x^2 - y^2)^2
+
+
+class ZeroCodeError(ValueError):
+    """The code has no nonzero codeword, so its minimum distance is undefined."""
+
+    def __init__(self, length: int):
+        self.length = length
+        super().__init__(
+            f"the length-{length} code has no nonzero codeword, "
+            f"so it has no minimum distance"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,32 +146,20 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
 
     The permutation reverses positions within each half and swaps the
     halves, which amounts to reversing all 2*n0 coordinates. Row-space
-    equality is certified by ranks of the stacked matrices, with no
-    codeword enumeration, so it works at any k.
+    equality is certified by equal full ranks and by every permuted dual row
+    reducing to zero against the generator's basis, with no codeword
+    enumeration, so it works at any k. The counterexample, if any, is the
+    first permuted dual row outside the code.
     """
     if code.variant != "sparse":
         raise ValueError("isodual certificate is defined for the sparse variant")
     n = 2 * code.n0
     sigma = tuple(range(n - 1, -1, -1))
     permuted = code.parity.permute_columns(sigma)
-    rg = gf2_rank(code.generator)
-    rp = gf2_rank(permuted)
-    stacked = BitMatrix(
-        code.generator.rows + permuted.rows, n, code.generator.bits + permuted.bits
-    )
-    ok = rg == rp == gf2_rank(stacked) == code.n0
-    counterexample = None
-    if not ok:
-        basis = gf2_row_basis(code.generator)
-        for w in permuted.bits:
-            residue = w
-            for bw in basis:
-                low = bw & -bw
-                if residue & low:
-                    residue ^= bw
-            if residue:
-                counterexample = tuple((w >> j) & 1 for j in range(n))
-                break
+    basis = gf2_basis(code.generator.bits)
+    outside = next((w for w in permuted.bits if gf2_reduce(basis, w)), None)
+    ok = outside is None and len(basis) == gf2_rank(permuted) == code.n0
+    counterexample = None if outside is None else unpack_bits(outside, n)
     return IsodualWitness(sigma, ok, counterexample)
 
 
@@ -173,7 +172,7 @@ def _generator_of(code_or_matrix: CodePair | BitMatrix) -> BitMatrix:
 def weight_enumerator(code: CodePair | BitMatrix) -> WeightEnumerator:
     """Exact codeword-weight histogram by enumerating the row space."""
     gen = _generator_of(code)
-    basis = gf2_row_basis(gen)
+    basis = list(gf2_basis(gen.bits).values())
     dim = len(basis)
     if dim > ENUMERATION_LIMIT:
         raise ValueError(
@@ -260,9 +259,14 @@ def distance_bound(n0: int) -> int:
 
 
 def min_distance(code: CodePair | BitMatrix) -> MinDistanceResult:
-    """Exact minimum nonzero codeword weight, with the reference bound."""
+    """Exact minimum nonzero codeword weight, with the reference bound.
+
+    Raises ZeroCodeError when the generator spans only the zero word.
+    """
     gen = _generator_of(code)
     n0 = code.n0 if isinstance(code, CodePair) else gen.cols // 2
     w = weight_enumerator(gen)
-    distance = min(wt for wt, _ in w.coeffs if wt > 0)
+    distance = min((wt for wt, _ in w.coeffs if wt > 0), default=None)
+    if distance is None:
+        raise ZeroCodeError(gen.cols)
     return MinDistanceResult(distance, distance_bound(n0))

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .bitmatrix import BitMatrix, gf2_eliminate, gf2_matvec, gf2_mul
+from .bitmatrix import (
+    BitMatrix,
+    gf2_basis,
+    gf2_matvec,
+    gf2_mul,
+    gf2_rref,
+    gf2_vecmat,
+    pack_bits,
+    unpack_bits,
+)
 from .families import build_a
 
 
@@ -115,25 +124,24 @@ def encoder_from_partition(part: Partition) -> Encoder:
     phi = gf2_mul(part.top, part.b)
     rhs = gf2_mul(part.top, part.a)
     g, s = part.gap, part.message_len
-    aug = [pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits)]
-    words, pivots = gf2_eliminate(aug, g)
-    mask = (1 << g) - 1
-    bad = 0
-    for w in words[len(pivots) :]:
-        bad |= w >> g
+    basis = gf2_basis(pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits))
+    # a member whose lowest bit is a message bit is zero on the gap columns
+    # but not on the right-hand side; the lowest such bit is the first basis
+    # message without a solution
+    bad = min((low for low in basis if low >> g), default=0)
     if bad:
-        raise GapSystemInconsistent(k, ell, (bad & -bad).bit_length() - 1)
-    particular = [0] * s
-    for r, c in enumerate(pivots):
-        tail = words[r] >> g
-        i = 0
-        while tail:
-            if tail & 1:
-                particular[i] |= 1 << c
-            tail >>= 1
-            i += 1
-    reduced = BitMatrix(phi.rows, g, tuple(w & mask for w in words))
-    return Encoder(part, phi, reduced, tuple(pivots), tuple(particular))
+        raise GapSystemInconsistent(k, ell, bad.bit_length() - 1 - g)
+    rows = gf2_rref(basis)
+    pivots = tuple((w & -w).bit_length() - 1 for w in rows)
+    # row c of the tails holds pivot c's value across all basis messages
+    tails = [0] * g
+    for c, w in zip(pivots, rows):
+        tails[c] = w >> g
+    particular = BitMatrix(g, s, tuple(tails)).transpose().bits
+    mask = (1 << g) - 1
+    padding = (0,) * (phi.rows - len(rows))
+    reduced = BitMatrix(phi.rows, g, tuple(w & mask for w in rows) + padding)
+    return Encoder(part, phi, reduced, pivots, particular)
 
 
 def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
@@ -143,20 +151,11 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
-    s_word = 0
-    p1 = 0
-    for i, bit in enumerate(message):
-        if bit not in (0, 1):
-            raise ValueError("message entries must be bits")
-        if bit:
-            s_word |= 1 << i
-            p1 ^= enc.particular[i]
+    s_word = pack_bits(message)
+    p1 = gf2_vecmat(s_word, enc.particular)
     p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
-    out = []
-    out.extend((p2 >> i) & 1 for i in range(part.ident.cols))
-    out.extend((p1 >> i) & 1 for i in range(part.gap))
-    out.extend((s_word >> i) & 1 for i in range(part.message_len))
-    return tuple(out)
+    n2, g = part.ident.cols, part.gap
+    return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
@@ -164,9 +163,4 @@ def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
     h = build_a(k, ell)
     if len(x) != h.cols:
         raise ValueError(f"word must have length {h.cols}, got {len(x)}")
-    word = 0
-    for i, bit in enumerate(x):
-        if bit not in (0, 1):
-            raise ValueError("word entries must be bits")
-        word |= bit << i
-    return gf2_matvec(h, word) == 0
+    return gf2_matvec(h, pack_bits(x)) == 0

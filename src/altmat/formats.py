@@ -28,9 +28,8 @@ class MatrixParseError(ValueError):
 
 def export_matrix(m: BitMatrix, fmt: str) -> str:
     if fmt == "dense":
-        return "".join(
-            "".join(str((w >> j) & 1) for j in range(m.cols)) + "\n" for w in m.bits
-        )
+        numeral = f"0{m.cols}b"
+        return "".join(format(w, numeral)[::-1] + "\n" for w in m.bits)
     if fmt == "matrixmarket":
         entries = [(i + 1, j + 1) for i in range(m.rows) for j in m.row_ones(i)]
         lines = [MM_HEADER, f"{m.rows} {m.cols} {len(entries)}"]
@@ -96,13 +95,10 @@ def _parse_dense(text: str) -> BitMatrix:
     for t, line in enumerate(lines):
         if len(line) != width or width == 0:
             raise MatrixParseError(t + 1, "rows must be equal-length and nonempty")
-        word = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                word |= 1 << j
-            elif ch != "0":
-                raise MatrixParseError(t + 1, f"column {j + 1}: invalid character {ch!r}")
-        words.append(word)
+        if line.count("0") + line.count("1") != width:
+            j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "01")
+            raise MatrixParseError(t + 1, f"column {j + 1}: invalid character {ch!r}")
+        words.append(int(line[::-1], 2))
     return BitMatrix(len(lines), width, tuple(words))
 
 
@@ -186,6 +182,7 @@ def _parse_alist(text: str) -> BitMatrix:
             if (words[i - 1] >> j) & 1:
                 raise MatrixParseError(lineno, f"duplicate entry in column {j + 1}")
             words[i - 1] |= 1 << j
+    m = BitMatrix(rows, cols, tuple(words))
     for i in range(rows):
         lineno = 5 + cols + i
         entries = _ints(lines[lineno - 1], lineno)
@@ -194,7 +191,6 @@ def _parse_alist(text: str) -> BitMatrix:
             raise MatrixParseError(
                 lineno, f"row {i + 1} lists {len(idx)} entries, header says {row_weights[i]}"
             )
-        expected = [j + 1 for j in range(cols) if (words[i] >> j) & 1]
-        if idx != expected:
+        if idx != [j + 1 for j in m.row_ones(i)]:
             raise MatrixParseError(lineno, f"row {i + 1} disagrees with the column section")
-    return BitMatrix(rows, cols, tuple(words))
+    return m

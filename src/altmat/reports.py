@@ -14,6 +14,7 @@ from math import comb
 
 from .bitmatrix import exact_rank, flip_transpose, gf2_mul, gf2_rank
 from .codes import (
+    ENUMERATION_LIMIT,
     distance_bound,
     gleason_fit,
     is_parity_check,
@@ -164,7 +165,7 @@ def code_report(k: int, variant: str) -> dict:
     if variant == "sparse":
         iso = isodual_witness(code)
         out["isodual_certificate_ok"] = iso.ok
-    if pc.generator_rank <= 20:
+    if pc.generator_rank <= ENUMERATION_LIMIT:
         w = weight_enumerator(code)
         out["weight_enumerator"] = [[wt, c] for wt, c in w.coeffs]
         out["all_weights_even"] = all(wt % 2 == 0 for wt, c in w.coeffs)

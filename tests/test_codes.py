@@ -4,6 +4,7 @@ from altmat import (
     BitMatrix,
     CodePair,
     WeightEnumerator,
+    ZeroCodeError,
     distance_bound,
     gf2_mul,
     gf2_rank,
@@ -221,6 +222,13 @@ def test_fit_validates_shape():
 def test_min_distance_hand_values():
     assert min_distance(make_code(3, "sparse")).distance == 3
     assert min_distance(toy_repetition_code()).distance == 2
+
+
+def test_min_distance_of_the_zero_code_is_a_typed_error():
+    with pytest.raises(ZeroCodeError, match="no nonzero codeword") as exc:
+        min_distance(BitMatrix.zeros(2, 4))
+    assert exc.value.length == 4
+    assert isinstance(exc.value, ValueError)
 
 
 def test_min_distance_k4_within_the_bound():

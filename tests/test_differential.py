@@ -1,0 +1,213 @@
+"""Whole-int kernels against the bit-at-a-time reference kernels in reference.py.
+
+Shapes cover small matrices, 1 x n and n x 1, all-zero and all-ones rows,
+rows wider than 64 and 128 bits, and pivots past bit 64.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from altmat import (
+    BitMatrix,
+    CodePair,
+    export_matrix,
+    flip_transpose,
+    gf2_mul,
+    gf2_rank,
+    gf2_solve,
+    import_matrix,
+    isodual_witness,
+    make_encoder,
+    verify_codeword,
+)
+from altmat.bitmatrix import gf2_basis, gf2_rref
+from altmat.encoder import GapSystemInconsistent, Partition, encode, encoder_from_partition
+from altmat.reports import ENCODER_GRID
+from conftest import bit_matrices
+
+SHAPES = st.one_of(
+    bit_matrices(),
+    bit_matrices(max_rows=1, max_cols=160),
+    bit_matrices(max_rows=160, max_cols=1),
+    bit_matrices(max_rows=8, min_cols=60, max_cols=140),
+    bit_matrices(min_rows=60, max_rows=140, max_cols=8),
+    bit_matrices(min_rows=66, max_rows=100, min_cols=66, max_cols=100),
+)
+
+
+def random_matrix(rows, cols, seed):
+    rng = random.Random(seed)
+    return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+
+
+EDGE_CASES = [
+    BitMatrix.zeros(1, 1),
+    BitMatrix.ones(1, 1),
+    BitMatrix.ones(1, 200),
+    BitMatrix.zeros(200, 1),
+    BitMatrix.ones(130, 3),
+    BitMatrix.zeros(3, 129),
+    BitMatrix.ones(3, 129),
+    BitMatrix.identity(65),
+    BitMatrix.anti_identity(129),
+    BitMatrix.hollow_ones(70),
+    # wide dense random matrices, of full or near-full rank
+    random_matrix(70, 150, 1),
+    random_matrix(150, 70, 2),
+    random_matrix(131, 131, 3),
+]
+
+
+def check_transforms(m):
+    assert m.transpose() == reference.transpose(m)
+    assert flip_transpose(m) == reference.flip_transpose(m)
+    assert m.col_sums() == reference.col_sums(m)
+    for i in range(m.rows):
+        assert m.row_ones(i) == reference.row_ones(m, i)
+    assert m.to_lists() == [[(w >> j) & 1 for j in range(m.cols)] for w in m.bits]
+    assert BitMatrix.from_rows(m.to_lists()) == m
+
+
+def check_elimination(m):
+    words, pivots = reference.gf2_eliminate(m.bits, m.cols)
+    rows = gf2_rref(gf2_basis(m.bits))
+    assert rows == words[: len(pivots)]
+    assert [(w & -w).bit_length() - 1 for w in rows] == pivots
+    assert gf2_rank(m) == len(pivots)
+
+
+def check_dense_format(m):
+    text = export_matrix(m, "dense")
+    assert text == reference.export_dense(m)
+    assert import_matrix(text, "dense") == reference.parse_dense(text) == m
+
+
+@pytest.mark.parametrize("m", EDGE_CASES, ids=lambda m: f"{m.rows}x{m.cols}")
+def test_edge_shapes_match_reference(m):
+    check_transforms(m)
+    check_elimination(m)
+    check_dense_format(m)
+    for rhs in ((0,) * m.rows, (1,) * m.rows, tuple(row[0] for row in m.to_lists())):
+        assert gf2_solve(m, rhs) == reference.gf2_solve(m, rhs)
+
+
+@settings(max_examples=50)
+@given(SHAPES)
+def test_bit_transforms_match_reference(m):
+    check_transforms(m)
+
+
+@settings(max_examples=50)
+@given(SHAPES)
+def test_elimination_matches_reference(m):
+    check_elimination(m)
+
+
+@settings(max_examples=50)
+@given(SHAPES)
+def test_dense_format_matches_reference(m):
+    check_dense_format(m)
+
+
+@settings(max_examples=50)
+@given(SHAPES, st.data())
+def test_submatrix_matches_reference(m, data):
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), min_size=1, max_size=8))
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=150))
+    assert m.submatrix(rows, cols) == reference.submatrix(m, rows, cols)
+    perm = data.draw(st.permutations(range(m.cols)))
+    assert m.permute_columns(perm) == reference.submatrix(m, range(m.rows), perm)
+
+
+def test_submatrix_rejects_out_of_range_columns():
+    m = BitMatrix.ones(2, 3)
+    with pytest.raises(IndexError):
+        m.submatrix([0], [3])
+    with pytest.raises(IndexError):
+        m.submatrix([0], [-1])
+    with pytest.raises(ValueError):
+        m.submatrix([0], [])
+
+
+@settings(max_examples=50)
+@given(SHAPES, st.data())
+def test_gf2_mul_matches_reference(a, data):
+    b = data.draw(bit_matrices(min_rows=a.cols, max_rows=a.cols, max_cols=140))
+    assert gf2_mul(a, b) == reference.gf2_mul(a, b)
+
+
+@settings(max_examples=50)
+@given(SHAPES, st.data())
+def test_gf2_solve_matches_reference(m, data):
+    rhs = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m.rows, max_size=m.rows)))
+    assert gf2_solve(m, rhs) == reference.gf2_solve(m, rhs)
+
+
+@pytest.mark.parametrize("k,ell", ENCODER_GRID + ((7, 5),))
+def test_encoder_matches_reference(k, ell):
+    enc = make_encoder(k, ell)
+    reduced, pivots, particular = reference.encoder_fields(enc.partition)
+    assert enc.reduced.bits == reduced
+    assert enc.pivots == pivots
+    assert enc.particular == particular
+
+
+@st.composite
+def gap_partitions(draw):
+    """Random blocks [[top, 0, 0], [ident, b, a]]; most gap systems are inconsistent."""
+    r = draw(st.integers(1, 8))
+    top = draw(bit_matrices(max_rows=8, min_cols=r, max_cols=r))
+    b = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
+    a = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
+    return Partition(0, 0, top, BitMatrix.identity(r), b, a)
+
+
+@settings(max_examples=50)
+@given(gap_partitions())
+def test_gap_solver_matches_reference(part):
+    expected = reference.encoder_fields(part)
+    if isinstance(expected, GapSystemInconsistent):
+        with pytest.raises(GapSystemInconsistent) as exc:
+            encoder_from_partition(part)
+        assert exc.value.basis_index == expected.basis_index
+    else:
+        enc = encoder_from_partition(part)
+        assert (enc.reduced.bits, enc.pivots, enc.particular) == expected
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(ENCODER_GRID + ((7, 5),)), st.data())
+def test_encode_matches_reference(grid_point, data):
+    enc = make_encoder(*grid_point)
+    s = enc.partition.message_len
+    msg = tuple(data.draw(st.lists(st.integers(0, 1), min_size=s, max_size=s)))
+    word = encode(enc, msg)
+    assert word == reference.encode(enc, msg)
+    assert verify_codeword(*grid_point, word)
+
+
+@st.composite
+def sparse_code_pairs(draw):
+    n0 = draw(st.integers(1, 40))
+    gen = draw(bit_matrices(min_rows=n0, max_rows=n0, min_cols=2 * n0, max_cols=2 * n0))
+    par = draw(bit_matrices(min_rows=n0, max_rows=n0, min_cols=2 * n0, max_cols=2 * n0))
+    return CodePair(gen, par, n0, "sparse", 0)
+
+
+@settings(max_examples=50)
+@given(sparse_code_pairs())
+def test_isodual_witness_matches_reference(code):
+    wit = isodual_witness(code)
+    permuted = code.parity.permute_columns(wit.permutation)
+    stacked = BitMatrix(2 * code.n0, 2 * code.n0, code.generator.bits + permuted.bits)
+    ranks = {
+        len(reference.gf2_eliminate(m.bits, m.cols)[1])
+        for m in (code.generator, permuted, stacked)
+    }
+    assert wit.ok == (ranks == {code.n0})
+    expected = None if wit.ok else reference.isodual_counterexample(code.generator, permuted)
+    assert wit.counterexample == expected

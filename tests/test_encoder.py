@@ -135,6 +135,14 @@ def test_length_validation():
         verify_codeword(3, 2, (1, 0))
 
 
+def test_entries_must_be_bits():
+    enc = make_encoder(3, 2)
+    with pytest.raises(ValueError, match="not a bit"):
+        encode(enc, (2, 0))
+    with pytest.raises(ValueError, match="not a bit"):
+        verify_codeword(3, 2, (0, 1, 0, 0, 0, 2))
+
+
 def test_inconsistent_gap_system_is_reported_with_an_index():
     # doctored blocks whose gap system has no solution for basis vector 0
     from altmat.encoder import Partition, encoder_from_partition
