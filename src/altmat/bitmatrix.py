@@ -13,6 +13,15 @@ lowest bit. Rank, span membership and codeword enumeration read that basis
 directly; the reduced row echelon form, needed only to write down a
 solution, comes from back-substitution on it (``gf2_rref``). All values are
 immutable after construction.
+
+Rational rank is certified modulo the prime P = 2^31 - 1 (``rank_mod_p``):
+the rank mod P never exceeds the rational rank, so when it reaches
+min(rows, cols) it is exact. That kernel packs each row into one int of
+64-bit lanes, one lane per column, and every elimination step is one
+big-int multiply-add followed by two whole-int folds that keep every lane at
+most P+7, so no carry crosses a lane. Only a matrix the certificate does not
+cover, rank-deficient or (rarely) with minors divisible by P, goes through
+fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -324,13 +333,92 @@ def gf2_solve(a: BitMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
 
 # -- exact rank over the rationals -------------------------------------------
 
+RANK_PRIME = (1 << 31) - 1
+_LANE_BITS = 64
+_LANE_MASK = (1 << _LANE_BITS) - 1
+
+
+def _lanes(word: int, width: int) -> int:
+    """word's bits spread to 64-bit lanes: lane j holds bit j (one hex numeral)."""
+    numeral = format(word, f"0{width}b")
+    return int(numeral.replace("0", "0" * 16).replace("1", "0" * 15 + "1"), 16)
+
+
+def rank_mod_p(a: BitMatrix) -> int:
+    """Rank of the matrix over the integers modulo the prime 2^31 - 1.
+
+    Each row is one int of 64-bit lanes, one lane per column, and is reduced
+    against a basis keyed by each member's pivot column, as in
+    ``gf2_basis``. A row is stored from the lane of its lowest live column up
+    (the lanes below it are all zero mod P), beside an ordinary packed
+    support mask that is a superset of its nonzero columns, so the pivot
+    search steps from one support bit to the next and a sparse row stays
+    short.
+
+    Lane bound: every lane stays at most P+7, so a lane is zero mod P
+    exactly when it is 0 or P. A row update r + m*p with m < P then reaches
+    at most (P+7) + (P-1)(P+7) = P(P+7) < 2^64 per lane, so no carry crosses
+    into the next lane. LO and HI mask the low 31 and the next 33 bits of
+    every lane. Since 2^31 = 1 mod P, the fold (r & LO) + ((r >> 31) & HI)
+    keeps each lane's residue; one fold brings a lane below 2^34 and a
+    second to at most P+4.
+    """
+    p = RANK_PRIME
+    target = min(a.rows, a.cols)
+    lo = int(f"{p:016x}" * a.cols, 16)
+    hi = int(f"{(1 << 33) - 1:016x}" * a.cols, 16)
+    # pivot bit -> (lanes from the pivot up, support mask, -1/pivot mod P)
+    basis: dict[int, tuple[int, int, int]] = {}
+    for support in a.bits:
+        if not support:
+            continue
+        at = (support & -support).bit_length() - 1
+        row = _lanes(support >> at, a.cols - at)
+        while support:
+            low = support & -support
+            c = low.bit_length() - 1
+            row >>= (c - at) * _LANE_BITS
+            at = c
+            x = row & _LANE_MASK
+            if x == 0 or x == p:
+                support ^= low
+                continue
+            member = basis.get(low)
+            if member is None:
+                basis[low] = (row, support, p - pow(x, -1, p))
+                break
+            pivot_row, pivot_support, neg_inv = member
+            row += x * neg_inv % p * pivot_row
+            row = (row & lo) + ((row >> 31) & hi)
+            row = (row & lo) + ((row >> 31) & hi)
+            support = (support | pivot_support) ^ low
+        if len(basis) == target:
+            break
+    return len(basis)
+
 
 def exact_rank(a: BitMatrix) -> int:
     """Rank of the integer matrix over the rationals.
 
-    Fraction-free (Bareiss) elimination: every intermediate entry is an
-    exact minor of the input, so the divisions below are exact integer
-    divisions and no floating point is involved.
+    The rank modulo the prime P = 2^31 - 1 (``rank_mod_p``) is never above
+    the rational rank, which is never above min(rows, cols): a nonzero minor
+    mod P is a nonzero integer. When the rank mod P reaches min(rows, cols)
+    it is therefore exact and is returned. Otherwise, which only a
+    rank-deficient matrix or one whose minors P happens to divide can cause,
+    the rank comes from fraction-free (Bareiss) elimination.
+    """
+    r = rank_mod_p(a)
+    if r == min(a.rows, a.cols):
+        return r
+    return _bareiss_rank(a)
+
+
+def _bareiss_rank(a: BitMatrix) -> int:
+    """Rational rank by fraction-free (Bareiss) elimination.
+
+    Every intermediate entry is an exact minor of the input, so the
+    divisions below are exact integer divisions and no floating point is
+    involved.
     """
     m = [list(row) for row in a.to_lists()]
     nrows, ncols = a.rows, a.cols

@@ -85,6 +85,13 @@ class WeightEnumerator:
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
+    def min_distance(self) -> int:
+        """Smallest nonzero weight counted; ZeroCodeError if there is none."""
+        distance = min((wt for wt, _ in self.coeffs if wt > 0), default=None)
+        if distance is None:
+            raise ZeroCodeError(self.length)
+        return distance
+
     def total(self) -> int:
         return sum(c for _, c in self.coeffs)
 
@@ -265,8 +272,4 @@ def min_distance(code: CodePair | BitMatrix) -> MinDistanceResult:
     """
     gen = _generator_of(code)
     n0 = code.n0 if isinstance(code, CodePair) else gen.cols // 2
-    w = weight_enumerator(gen)
-    distance = min((wt for wt, _ in w.coeffs if wt > 0), default=None)
-    if distance is None:
-        raise ZeroCodeError(gen.cols)
-    return MinDistanceResult(distance, distance_bound(n0))
+    return MinDistanceResult(weight_enumerator(gen).min_distance(), distance_bound(n0))

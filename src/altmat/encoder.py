@@ -90,8 +90,11 @@ def partition_h(k: int, ell: int) -> Partition:
     g = comb(k + ell - 2, ell - 2)
     s = comb(k + ell - 1, ell) - comb(k + ell - 1, ell - 1)
     rows = list(range(h.rows))
+    if any(h.bits[i] >> ident_order for i in range(top_rows)):
+        raise ValueError(
+            f"top rows of build_a({k}, {ell}) are not zero past the identity block"
+        )
     top = h.submatrix(rows[:top_rows], range(ident_order))
-    assert all(not (h.bits[i] >> ident_order) for i in range(top_rows))
     bottom = rows[top_rows:]
     ident = h.submatrix(bottom, range(ident_order))
     b = h.submatrix(bottom, range(ident_order, ident_order + g))

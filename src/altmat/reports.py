@@ -20,7 +20,6 @@ from .codes import (
     is_parity_check,
     isodual_witness,
     make_code,
-    min_distance,
     weight_enumerator,
 )
 from .encoder import GapSystemInconsistent, encode, make_encoder, verify_codeword
@@ -169,9 +168,9 @@ def code_report(k: int, variant: str) -> dict:
         w = weight_enumerator(code)
         out["weight_enumerator"] = [[wt, c] for wt, c in w.coeffs]
         out["all_weights_even"] = all(wt % 2 == 0 for wt, c in w.coeffs)
-        d = min_distance(code)
-        out["min_distance"] = d.distance
-        out["min_distance_within_bound"] = d.distance <= d.bound
+        d = w.min_distance()
+        out["min_distance"] = d
+        out["min_distance_within_bound"] = d <= out["distance_bound"]
         if pc.generator_rank == n0:
             fit = gleason_fit(w, n0)
             out["gleason_fit"] = {"a": list(fit.a), "exact": fit.exact}

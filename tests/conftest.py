@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import strategies as st
 
 from altmat import BitMatrix
@@ -27,3 +29,9 @@ def bit_matrices(
 def square_bit_matrices(draw, max_n: int = 7):
     n = draw(st.integers(min_value=1, max_value=max_n))
     return draw(bit_matrices(min_rows=n, max_rows=n, min_cols=n, max_cols=n))
+
+
+def random_matrix(rows, cols, seed):
+    """Seeded dense random matrix: every entry an independent fair bit."""
+    rng = random.Random(seed)
+    return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))

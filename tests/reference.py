@@ -1,9 +1,12 @@
 """Bit-at-a-time reference kernels, kept as oracles for the whole-int library.
 
-Each function walks rows one bit at a time, the plain way, so that the fast
-kernels in ``altmat`` can be checked against it. None of this is used by
+Each function walks rows one bit (or, for the ranks, one list entry) at a
+time, the plain way, so that the fast kernels in ``altmat`` can be checked
+against it. None of this is used by
 the library.
 """
+
+from fractions import Fraction
 
 from altmat import BitMatrix
 from altmat.encoder import GapSystemInconsistent
@@ -194,3 +197,38 @@ def parse_dense(text):
                 word |= 1 << j
         words.append(word)
     return BitMatrix(len(lines), len(lines[0]), tuple(words))
+
+
+def rank_by_fractions(m):
+    """Plain rational Gaussian elimination, independent of the Bareiss path."""
+    rows = [[Fraction(e) for e in row] for row in m.to_lists()]
+    rank = 0
+    for c in range(m.cols):
+        sel = next((i for i in range(rank, m.rows) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        for i in range(m.rows):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_mod(m, p):
+    """Gaussian elimination over the integers mod p on lists, column by column."""
+    rows = m.to_lists()
+    rank = 0
+    for c in range(m.cols):
+        sel = next((i for i in range(rank, m.rows) if rows[i][c] % p), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, m.rows):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +13,7 @@ from altmat import (
     stack,
 )
 from conftest import bit_matrices, square_bit_matrices
+from reference import rank_by_fractions
 
 A22 = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -28,23 +27,6 @@ def rank_by_span(m: BitMatrix) -> int:
     for w in m.bits:
         span |= {v ^ w for v in span}
     return len(span).bit_length() - 1
-
-
-def rank_by_fractions(m: BitMatrix) -> int:
-    """Plain rational Gaussian elimination, independent of the Bareiss path."""
-    rows = [[Fraction(e) for e in row] for row in m.to_lists()]
-    rank = 0
-    for c in range(m.cols):
-        sel = next((i for i in range(rank, m.rows) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        for i in range(m.rows):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 # -- construction and access ----------------------------------------------------

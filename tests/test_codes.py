@@ -1,5 +1,6 @@
 import pytest
 
+from altmat import codes, reports
 from altmat import (
     BitMatrix,
     CodePair,
@@ -236,6 +237,20 @@ def test_min_distance_k4_within_the_bound():
     assert res.bound == 6
     assert res.distance <= res.bound
     assert res.distance == 4
+
+
+def test_code_report_enumerates_each_code_once(monkeypatch):
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return weight_enumerator(code)
+
+    monkeypatch.setattr(codes, "weight_enumerator", counting)
+    monkeypatch.setattr(reports, "weight_enumerator", counting)
+    report = reports.code_report(4, "sparse")
+    assert len(calls) == 1
+    assert report["min_distance"] == 4 and report["min_distance_within_bound"]
 
 
 def test_distance_bound_switches_at_length_32():

@@ -4,8 +4,6 @@ Shapes cover small matrices, 1 x n and n x 1, all-zero and all-ones rows,
 rows wider than 64 and 128 bits, and pivots past bit 64.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,7 @@ from altmat import (
 from altmat.bitmatrix import gf2_basis, gf2_rref
 from altmat.encoder import GapSystemInconsistent, Partition, encode, encoder_from_partition
 from altmat.reports import ENCODER_GRID
-from conftest import bit_matrices
+from conftest import bit_matrices, random_matrix
 
 SHAPES = st.one_of(
     bit_matrices(),
@@ -37,11 +35,6 @@ SHAPES = st.one_of(
     bit_matrices(min_rows=60, max_rows=140, max_cols=8),
     bit_matrices(min_rows=66, max_rows=100, min_cols=66, max_cols=100),
 )
-
-
-def random_matrix(rows, cols, seed):
-    rng = random.Random(seed)
-    return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
 
 
 EDGE_CASES = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from altmat import encoder
 from altmat import (
     BitMatrix,
     GapSystemInconsistent,
@@ -60,6 +61,15 @@ def test_partition_rejects_bad_parameters():
         partition_h(3, 3)
     with pytest.raises(ValueError):
         partition_h(3, 4)
+
+
+def test_partition_rejects_stray_top_row_bit(monkeypatch):
+    h = build_a(4, 3)
+    # a one in the last column of the first row, past the identity block
+    bits = (h.bits[0] | 1 << (h.cols - 1),) + h.bits[1:]
+    monkeypatch.setattr(encoder, "build_a", lambda k, ell: BitMatrix(h.rows, h.cols, bits))
+    with pytest.raises(ValueError, match=r"build_a\(4, 3\)"):
+        partition_h(4, 3)
 
 
 def test_gap_matrix_rows_sum_to_zero():

@@ -5,14 +5,26 @@ say in CHANGES.md why the new value is right.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from altmat import build_l_oracle, exact_rank
+from altmat.reports import decompose_report
+
 ROOT = Path(__file__).resolve().parent.parent
 
 FULL_REPORT_SHA256 = "fcef9f89b868b1b1028a6e126800989d1daf24f116df25a39fa31ef34a92edcc"
+
+# sha256 of json.dumps(decompose_report(n), sort_keys=True), rank included
+DECOMPOSE_SHA256 = {
+    6: "731aeee171e045b75496505f8e2539c6fb911dce974056a63413976b8d668537",
+    7: "bb6ce3c3dbf5382203a7a448fb241e94534e6097ca6f550b7b89d76f754e6834",
+}
 
 
 def test_full_report_is_byte_identical():
@@ -23,3 +35,18 @@ def test_full_report_is_byte_identical():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout
     assert hashlib.sha256(out).hexdigest() == FULL_REPORT_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
+def test_decompose_report_is_byte_identical(n):
+    report = decompose_report(n)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == DECOMPOSE_SHA256[n]
+    # the components are row- and column-disjoint, so the rank is the sum of
+    # the block ranks: 240*1 + 60*4 + 1*15 = 495 and 672*1 + 280*4 + 14*15 = 2002
+    assert report["unidentified"] == 0
+    block_sum = sum(
+        copies * exact_rank(build_l_oracle(int(name[2:])))
+        for name, copies in report["blocks"].items()
+    )
+    assert report["rank"] == block_sum == report["rows"]
