@@ -11,10 +11,11 @@ import argparse
 import json
 import sys
 
+from . import bitmatrix
 from .bitmatrix import BitMatrix
 from .codes import make_code
 from .encoder import GapSystemInconsistent, encode, make_encoder, verify_codeword
-from .families import build_a, build_b
+from .families import build_a, build_b, dims_of
 from .formats import FORMATS, MatrixParseError, export_matrix, import_matrix
 from .incidence import build_l_oracle, build_m
 from .reports import (
@@ -54,6 +55,12 @@ def _gen_matrix(args) -> BitMatrix:
     if args.family in ("a", "b"):
         if args.k is None or args.l is None:
             raise ValueError("gen a|b requires --k and --l")
+        rows, cols = dims_of(args.k, args.l)
+        if not bitmatrix.within_limit(rows, cols):
+            raise ValueError(
+                f"gen {args.family} --k {args.k} --l {args.l} would be {rows} x {cols}, "
+                f"past the limit of {bitmatrix.MAX_CELLS} cells"
+            )
         return build_a(args.k, args.l) if args.family == "a" else build_b(args.k, args.l)
     if args.family == "lk":
         if args.k is None:

@@ -9,6 +9,12 @@ row combination of its rows vanishes because column sums are ell-1 and ell),
 so instead of inverting we row-reduce once and keep one particular solution
 per message basis vector, with free variables pinned to 0; construction
 fails loudly if any basis system is inconsistent.
+
+Encoding is linear, so the encoder also keeps the generator rows: row j is
+the codeword of unit message j, (B·p1 + A·e_j | p1 | e_j) with p1 the
+particular solution for e_j. They are built in bulk as
+(particular · Bᵀ + Aᵀ | particular | I), and a codeword is the XOR of the
+rows its message selects.
 """
 
 from __future__ import annotations
@@ -111,6 +117,7 @@ class Encoder:
     reduced: BitMatrix
     pivots: tuple[int, ...]
     particular: tuple[int, ...]
+    generator: tuple[int, ...]
 
 
 def make_encoder(k: int, ell: int) -> Encoder:
@@ -140,11 +147,18 @@ def encoder_from_partition(part: Partition) -> Encoder:
     tails = [0] * g
     for c, w in zip(pivots, rows):
         tails[c] = w >> g
-    particular = BitMatrix(g, s, tuple(tails)).transpose().bits
+    particular = BitMatrix(g, s, tuple(tails)).transpose()
     mask = (1 << g) - 1
     padding = (0,) * (phi.rows - len(rows))
     reduced = BitMatrix(phi.rows, g, tuple(w & mask for w in rows) + padding)
-    return Encoder(part, phi, reduced, pivots, particular)
+    # row j: (B·p1 + A·e_j | p1 | e_j) for p1 = particular row j
+    n2 = part.ident.cols
+    p2 = gf2_mul(particular, part.b.transpose()).xor(part.a.transpose())
+    generator = tuple(
+        p2w | p1w << n2 | 1 << (n2 + g + j)
+        for j, (p2w, p1w) in enumerate(zip(p2.bits, particular.bits))
+    )
+    return Encoder(part, phi, reduced, pivots, particular.bits, generator)
 
 
 def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
@@ -154,11 +168,8 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
-    s_word = pack_bits(message)
-    p1 = gf2_vecmat(s_word, enc.particular)
-    p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
-    n2, g = part.ident.cols, part.gap
-    return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
+    n = part.ident.cols + part.gap + part.message_len
+    return unpack_bits(gf2_vecmat(pack_bits(message), enc.generator), n)
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, column_supports
 from .families import build_a
 
 
@@ -81,12 +81,8 @@ def build_m(n: int) -> BitMatrix:
 
 
 def _adjacency(m: BitMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    row_adj = [m.row_ones(i) for i in range(m.rows)]
-    col_adj: list[list[int]] = [[] for _ in range(m.cols)]
-    for i, ones in enumerate(row_adj):
-        for j in ones:
-            col_adj[j].append(i)
-    return row_adj, col_adj
+    rows = m.supports()
+    return rows, column_supports(rows, m.cols)
 
 
 def bipartite_isomorphism(

@@ -2,14 +2,17 @@
 
 Each function walks rows one bit (or, for the ranks, one list entry) at a
 time, the plain way, so that the fast kernels in ``altmat`` can be checked
-against it. None of this is used by
-the library.
+against it: the alist and MatrixMarket codecs set one entry at a time, and
+``encode_by_parts`` solves for the parity parts of each codeword instead of
+XOR-ing generator rows. None of this is used by the library.
 """
 
 from fractions import Fraction
 
 from altmat import BitMatrix
+from altmat.bitmatrix import gf2_matvec, gf2_vecmat, pack_bits, unpack_bits
 from altmat.encoder import GapSystemInconsistent
+from altmat.formats import MM_HEADER, MatrixParseError
 
 
 def row_ones(m, i):
@@ -232,3 +235,153 @@ def rank_mod(m, p):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def encode_by_parts(enc, message):
+    """Codeword from the particular solution: p1, then p2 = B·p1 + A·s."""
+    part = enc.partition
+    s_word = pack_bits(message)
+    p1 = gf2_vecmat(s_word, enc.particular)
+    p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
+    n2, g = part.ident.cols, part.gap
+    return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
+
+
+# -- alist and MatrixMarket, one entry at a time ------------------------------
+
+
+def export_matrix(m, fmt):
+    if fmt == "matrixmarket":
+        entries = [(i + 1, j + 1) for i in range(m.rows) for j in row_ones(m, i)]
+        lines = [MM_HEADER, f"{m.rows} {m.cols} {len(entries)}"]
+        lines.extend(f"{i} {j}" for i, j in entries)
+        return "\n".join(lines) + "\n"
+    col_idx = [[] for _ in range(m.cols)]
+    row_idx = []
+    for i in range(m.rows):
+        ones = row_ones(m, i)
+        row_idx.append([j + 1 for j in ones])
+        for j in ones:
+            col_idx[j].append(i + 1)
+    cmax = max((len(c) for c in col_idx), default=0)
+    rmax = max((len(r) for r in row_idx), default=0)
+    lines = [
+        f"{m.cols} {m.rows}",
+        f"{cmax} {rmax}",
+        " ".join(str(len(c)) for c in col_idx),
+        " ".join(str(len(r)) for r in row_idx),
+    ]
+    for c in col_idx:
+        lines.append(" ".join(str(v) for v in c + [0] * (cmax - len(c))))
+    for r in row_idx:
+        lines.append(" ".join(str(v) for v in r + [0] * (rmax - len(r))))
+    return "\n".join(lines) + "\n"
+
+
+def import_matrix(text, fmt):
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MatrixParseError(1, "empty payload")
+    if fmt == "matrixmarket":
+        return _parse_matrixmarket(lines)
+    return _parse_alist(lines)
+
+
+def _ints(line, lineno):
+    out = []
+    for tok in line.split():
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise MatrixParseError(lineno, f"expected integer, got {tok!r}") from None
+    return out
+
+
+def _parse_matrixmarket(lines):
+    header = lines[0].split()
+    expected = MM_HEADER.split()
+    if len(header) != 5 or header[0].lower() != "%%matrixmarket" or [
+        h.lower() for h in header[1:]
+    ] != expected[1:]:
+        raise MatrixParseError(1, "expected coordinate-pattern-general header")
+    t = 1
+    while t < len(lines) and lines[t].startswith("%"):
+        t += 1
+    if t >= len(lines):
+        raise MatrixParseError(t + 1, "missing size line")
+    size = _ints(lines[t], t + 1)
+    if len(size) != 3 or size[0] < 1 or size[1] < 1 or size[2] < 0:
+        raise MatrixParseError(t + 1, "size line must be 'rows cols nnz'")
+    rows, cols, nnz = size
+    entry_lines = lines[t + 1 :]
+    if len(entry_lines) != nnz:
+        raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {len(entry_lines)}")
+    words = [0] * rows
+    for offset, line in enumerate(entry_lines):
+        lineno = t + 2 + offset
+        pair = _ints(line, lineno)
+        if len(pair) != 2:
+            raise MatrixParseError(lineno, "entries must be 'row col' pairs")
+        i, j = pair
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise MatrixParseError(lineno, f"entry ({i}, {j}) out of bounds")
+        if (words[i - 1] >> (j - 1)) & 1:
+            raise MatrixParseError(lineno, f"duplicate entry ({i}, {j})")
+        words[i - 1] |= 1 << (j - 1)
+    return BitMatrix(rows, cols, tuple(words))
+
+
+def _parse_alist(lines):
+    head = _ints(lines[0], 1)
+    if len(head) != 2 or head[0] < 1 or head[1] < 1:
+        raise MatrixParseError(1, "header must be 'ncols nrows'")
+    cols, rows = head
+    if len(lines) != 4 + cols + rows:
+        raise MatrixParseError(
+            len(lines), f"expected {4 + cols + rows} lines for {cols} columns, {rows} rows"
+        )
+    maxima = _ints(lines[1], 2)
+    if len(maxima) != 2:
+        raise MatrixParseError(2, "second line must be 'cmax rmax'")
+    cmax, rmax = maxima
+    col_weights = _ints(lines[2], 3)
+    row_weights = _ints(lines[3], 4)
+    if len(col_weights) != cols:
+        raise MatrixParseError(3, f"expected {cols} column weights, got {len(col_weights)}")
+    if len(row_weights) != rows:
+        raise MatrixParseError(4, f"expected {rows} row weights, got {len(row_weights)}")
+    if col_weights and max(col_weights) != cmax:
+        raise MatrixParseError(2, "cmax does not match the column weights")
+    if row_weights and max(row_weights) != rmax:
+        raise MatrixParseError(2, "rmax does not match the row weights")
+    if sum(col_weights) != sum(row_weights):
+        raise MatrixParseError(4, "row and column weights disagree on the number of ones")
+    words = [0] * rows
+    for j in range(cols):
+        lineno = 5 + j
+        entries = _ints(lines[lineno - 1], lineno)
+        idx = [v for v in entries if v != 0]
+        if len(idx) != col_weights[j]:
+            raise MatrixParseError(
+                lineno, f"column {j + 1} lists {len(idx)} entries, header says {col_weights[j]}"
+            )
+        for i in idx:
+            if not (1 <= i <= rows):
+                raise MatrixParseError(lineno, f"row index {i} out of bounds")
+            if (words[i - 1] >> j) & 1:
+                raise MatrixParseError(lineno, f"duplicate entry in column {j + 1}")
+            words[i - 1] |= 1 << j
+    m = BitMatrix(rows, cols, tuple(words))
+    for i in range(rows):
+        lineno = 5 + cols + i
+        entries = _ints(lines[lineno - 1], lineno)
+        idx = sorted(v for v in entries if v != 0)
+        if len(idx) != row_weights[i]:
+            raise MatrixParseError(
+                lineno, f"row {i + 1} lists {len(idx)} entries, header says {row_weights[i]}"
+            )
+        if idx != [j + 1 for j in row_ones(m, i)]:
+            raise MatrixParseError(lineno, f"row {i + 1} disagrees with the column section")
+    return m

@@ -1,6 +1,8 @@
 import json
 
-from altmat import build_a, export_matrix, import_matrix
+import pytest
+
+from altmat import bitmatrix, build_a, build_b, export_matrix, import_matrix
 from altmat.cli import main
 
 
@@ -123,6 +125,38 @@ def test_export_import_round_trip_via_files(tmp_path, capsys):
     code, out, _ = run(capsys, "import", "--format", "alist", "--in", str(dst))
     rep = json.loads(out)
     assert code == 0 and rep["rows"] == 15 and rep["cols"] == 20
+
+
+@pytest.mark.parametrize("src_fmt,dst_fmt", [("matrixmarket", "alist"), ("alist", "matrixmarket")])
+def test_dense_member_round_trips_via_files(tmp_path, capsys, src_fmt, dst_fmt):
+    b = build_b(5, 5)
+    src = tmp_path / "b.in"
+    src.write_text(export_matrix(b, src_fmt))
+    dst = tmp_path / "b.out"
+    code, _, _ = run(
+        capsys, "export", "--from", src_fmt, "--format", dst_fmt,
+        "--in", str(src), "--out", str(dst),
+    )
+    assert code == 0
+    assert dst.read_text() == export_matrix(b, dst_fmt)
+    assert import_matrix(dst.read_text(), dst_fmt) == b
+
+
+def test_oversized_gen_is_a_usage_error(monkeypatch, capsys):
+    # build_a(4, 4) is 35 x 35; with the limit cut, an unguarded gen builds little
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 1000)
+    code, out, err = run(capsys, "gen", "a", "--k", "4", "--l", "4")
+    assert code == 2 and out == "" and "limit" in err
+    code, _, _ = run(capsys, "gen", "b", "--k", "4", "--l", "3", "--report")
+    assert code == 0
+
+
+def test_oversized_import_header_is_a_parse_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 1000)
+    big = tmp_path / "big.mm"
+    big.write_text("%%MatrixMarket matrix coordinate pattern general\n100000 11 0\n")
+    code, _, err = run(capsys, "import", "--format", "matrixmarket", "--in", str(big))
+    assert code == 3 and "line 2" in err and "limit" in err
 
 
 def test_import_parse_error_exit_code(tmp_path, capsys):

@@ -12,8 +12,10 @@ import reference
 from altmat import (
     BitMatrix,
     CodePair,
+    build_a,
     export_matrix,
     flip_transpose,
+    gf2_matvec,
     gf2_mul,
     gf2_rank,
     gf2_solve,
@@ -22,7 +24,7 @@ from altmat import (
     make_encoder,
     verify_codeword,
 )
-from altmat.bitmatrix import gf2_basis, gf2_rref
+from altmat.bitmatrix import gf2_basis, gf2_rref, unpack_bits
 from altmat.encoder import GapSystemInconsistent, Partition, encode, encoder_from_partition
 from altmat.reports import ENCODER_GRID
 from conftest import bit_matrices, random_matrix
@@ -112,6 +114,9 @@ def test_submatrix_matches_reference(m, data):
     rows = data.draw(st.lists(st.integers(0, m.rows - 1), min_size=1, max_size=8))
     cols = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=150))
     assert m.submatrix(rows, cols) == reference.submatrix(m, rows, cols)
+    lo = data.draw(st.integers(0, m.cols - 1))
+    run = range(lo, data.draw(st.integers(lo + 1, m.cols)))
+    assert m.submatrix(rows, run) == reference.submatrix(m, rows, run)
     perm = data.draw(st.permutations(range(m.cols)))
     assert m.permute_columns(perm) == reference.submatrix(m, range(m.rows), perm)
 
@@ -179,8 +184,23 @@ def test_encode_matches_reference(grid_point, data):
     s = enc.partition.message_len
     msg = tuple(data.draw(st.lists(st.integers(0, 1), min_size=s, max_size=s)))
     word = encode(enc, msg)
-    assert word == reference.encode(enc, msg)
+    assert word == reference.encode(enc, msg) == reference.encode_by_parts(enc, msg)
     assert verify_codeword(*grid_point, word)
+
+
+@pytest.mark.parametrize("k,ell", ENCODER_GRID + ((7, 5),))
+def test_generator_rows_are_the_unit_codewords(k, ell):
+    enc = make_encoder(k, ell)
+    s = enc.partition.message_len
+    h = build_a(k, ell)
+    assert len(enc.generator) == s
+    for j, row in enumerate(enc.generator):
+        unit = tuple(int(t == j) for t in range(s))
+        assert gf2_matvec(h, row) == 0
+        assert row >> (h.cols - s) == 1 << j
+        word = encode(enc, unit)
+        assert word == unpack_bits(row, h.cols)
+        assert word == reference.encode_by_parts(enc, unit) == reference.encode(enc, unit)
 
 
 @st.composite

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
 from altmat import (
     BitMatrix,
     MatrixParseError,
+    bitmatrix,
     build_a,
     build_b,
     build_m,
+    dims_of,
     export_matrix,
     import_matrix,
 )
+import reference
 from conftest import bit_matrices
 
 A22 = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
@@ -105,3 +110,167 @@ def test_parse_error_carries_line_number():
     err = MatrixParseError(7, "boom")
     assert err.line == 7
     assert "line 7" in str(err)
+
+
+# Every MatrixParseError branch, with the exact line it must name. A22 as
+# alist is lines 1-4 header, 5-7 columns, 8-10 rows; as MatrixMarket it is
+# the header, the size line and entry lines 3-8.
+ALIST = export_matrix(A22, "alist").splitlines()
+MM = export_matrix(A22, "matrixmarket").splitlines()
+
+
+def _with(lines, **changes):
+    """Payload from ``lines`` with line n (1-based) replaced by changes[f"l{n}"]."""
+    out = list(lines)
+    for key, text in changes.items():
+        out[int(key[1:]) - 1] = text
+    return "\n".join(out) + "\n"
+
+
+PARSE_ERRORS = [
+    # dense
+    ("dense", "", 1, "empty payload"),
+    ("dense", "\n1\n", 1, "equal-length and nonempty"),
+    ("dense", "10\n1\n", 2, "equal-length and nonempty"),
+    ("dense", "10\n01\n110\n", 3, "equal-length and nonempty"),
+    ("dense", "10\n1x\n", 2, "column 2: invalid character 'x'"),
+    # MatrixMarket
+    ("matrixmarket", "", 1, "empty payload"),
+    ("matrixmarket", _with(MM, l1="%%MatrixMarket matrix coordinate real general"), 1,
+     "header"),
+    ("matrixmarket", MM[0] + "\n", 2, "missing size line"),
+    ("matrixmarket", MM[0] + "\n% note\n", 3, "missing size line"),
+    ("matrixmarket", _with(MM, l2="3 x 6"), 2, "expected integer, got 'x'"),
+    ("matrixmarket", _with(MM, l2="3 3"), 2, "size line"),
+    ("matrixmarket", _with(MM, l2="0 3 6"), 2, "size line"),
+    ("matrixmarket", _with(MM, l2="3 3 -1"), 2, "size line"),
+    ("matrixmarket", _with(MM, l2="3 3 7"), 3, "expected 7 entry lines, got 6"),
+    ("matrixmarket", _with(MM, l2="3 3 5"), 3, "expected 5 entry lines, got 6"),
+    ("matrixmarket", _with(MM[:1] + ["% c"] + MM[1:], l3="3 3 7"), 4,
+     "expected 7 entry lines"),
+    ("matrixmarket", _with(MM, l5="2 y"), 5, "expected integer, got 'y'"),
+    ("matrixmarket", _with(MM, l5="2 1 1"), 5, "'row col' pairs"),
+    ("matrixmarket", _with(MM, l5="2"), 5, "'row col' pairs"),
+    ("matrixmarket", f"{MM[0]}\n3 3 2\n1\n2\n", 3, "'row col' pairs"),
+    ("matrixmarket", _with(MM, l6="4 1"), 6, "entry (4, 1) out of bounds"),
+    ("matrixmarket", _with(MM, l6="2 0"), 6, "entry (2, 0) out of bounds"),
+    ("matrixmarket", _with(MM, l6="-1 2"), 6, "entry (-1, 2) out of bounds"),
+    ("matrixmarket", _with(MM, l4="1 1"), 4, "duplicate entry (1, 1)"),
+    ("matrixmarket", _with(MM, l8="2 3"), 8, "duplicate entry (2, 3)"),
+    ("matrixmarket", _with(MM, l8="02 3"), 8, "duplicate entry (2, 3)"),
+    # the first bad line wins, whatever its kind
+    ("matrixmarket", _with(MM, l5="1 1", l7="x 1"), 5, "duplicate"),
+    ("matrixmarket", _with(MM, l5="1 2 3", l7="9 1"), 5, "pairs"),
+    ("matrixmarket", _with(MM, l6="9 1", l7="1 1"), 6, "out of bounds"),
+    ("matrixmarket", _with(MM, l4="x 1 2"), 4, "expected integer"),
+    # alist
+    ("alist", "", 1, "empty payload"),
+    ("alist", _with(ALIST, l1="x 3"), 1, "expected integer, got 'x'"),
+    ("alist", _with(ALIST, l1="3"), 1, "header must be"),
+    ("alist", _with(ALIST, l1="0 3"), 1, "header must be"),
+    ("alist", "\n".join(ALIST[:-1]) + "\n", 9, "expected 10 lines"),
+    ("alist", "\n".join(ALIST + ["1 2"]) + "\n", 11, "expected 10 lines"),
+    ("alist", _with(ALIST, l2="2 x"), 2, "expected integer"),
+    ("alist", _with(ALIST, l2="2"), 2, "'cmax rmax'"),
+    ("alist", _with(ALIST, l3="2 2 z"), 3, "expected integer"),
+    ("alist", _with(ALIST, l4="2 z 2"), 4, "expected integer"),
+    ("alist", _with(ALIST, l3="2 2"), 3, "expected 3 column weights, got 2"),
+    ("alist", _with(ALIST, l4="2 2 2 2"), 4, "expected 3 row weights, got 4"),
+    ("alist", _with(ALIST, l2="3 2"), 2, "cmax does not match"),
+    ("alist", _with(ALIST, l2="2 1"), 2, "rmax does not match"),
+    ("alist", _with(ALIST, l3="2 2 1"), 4, "disagree on the number of ones"),
+    ("alist", _with(ALIST, l6="1 x"), 6, "expected integer, got 'x'"),
+    ("alist", _with(ALIST, l6="1 0"), 6, "column 2 lists 1 entries, header says 2"),
+    ("alist", _with(ALIST, l6="1 3 2"), 6, "column 2 lists 3 entries, header says 2"),
+    ("alist", _with(ALIST, l7="2 4"), 7, "row index 4 out of bounds"),
+    ("alist", _with(ALIST, l7="-1 3"), 7, "row index -1 out of bounds"),
+    ("alist", _with(ALIST, l5="1 1"), 5, "duplicate entry in column 1"),
+    ("alist", _with(ALIST, l5="2 2", l6="9 9"), 5, "duplicate"),
+    ("alist", _with(ALIST, l5="2 9", l6="9 9"), 5, "out of bounds"),
+    ("alist", _with(ALIST, l9="1 x"), 9, "expected integer, got 'x'"),
+    ("alist", _with(ALIST, l9="1 0"), 9, "row 2 lists 1 entries, header says 2"),
+    ("alist", _with(ALIST, l9="1 2"), 9, "row 2 disagrees with the column section"),
+    ("alist", _with(ALIST, l9="1 1"), 9, "row 2 disagrees"),
+    ("alist", _with(ALIST, l9="1 4"), 9, "row 2 disagrees"),
+    ("alist", _with(ALIST, l9="-1 3"), 9, "row 2 disagrees"),
+    ("alist", _with(ALIST, l9="1 2", l10="x"), 9, "disagrees"),
+    ("alist", _with(ALIST, l7="2 4", l8="x"), 7, "out of bounds"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,line,message", PARSE_ERRORS)
+def test_parse_errors_name_their_line(fmt, text, line, message):
+    with pytest.raises(MatrixParseError) as exc:
+        import_matrix(text, fmt)
+    assert exc.value.line == line
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("matrixmarket", _with(MM, l3="01 1", l4="+1 2", l8="3 0003")),
+    ("matrixmarket", _with(MM, l5=" 2\t1 ", l6="2 3\r")),
+    ("alist", _with(ALIST, l5="01 +2", l10="0 2 0 3 0")),
+    ("alist", _with(ALIST, l3=" 2  2\t2", l8="2 1", l9="3 1 0 0")),
+])
+def test_odd_spellings_are_accepted(fmt, text):
+    assert import_matrix(text, fmt) == A22
+
+
+def test_size_limit_admits_the_largest_member_built_and_refuses_k12():
+    assert dims_of(8, 8) == (6435, 6435)
+    assert bitmatrix.within_limit(*dims_of(8, 8))
+    assert not bitmatrix.within_limit(*dims_of(12, 12))
+
+
+# With the limit cut to 1000 cells, a parser that allocated from these
+# headers before checking them would still allocate little.
+OVERSIZED = [
+    pytest.param("matrixmarket", f"{MM[0]}\n% c\n100000 11 0\n", 3, id="mm-tall"),
+    pytest.param("matrixmarket", f"{MM[0]}\n11 100000 1\n1 1\n", 2, id="mm-wide"),
+    pytest.param("matrixmarket", f"{MM[0]}\n100000 1 0\n", 2, id="mm-one-column"),
+    pytest.param("alist", "11 100000\n1 1\n", 1, id="alist-tall"),
+    pytest.param("alist", "100000 11\n" + "0 0\n" * 100014, 1, id="alist-wide"),
+    pytest.param("dense", "0000000000\n" * 101, 1, id="dense"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,line", OVERSIZED)
+def test_oversized_headers_are_refused_on_their_size_line(monkeypatch, fmt, text, line):
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 1000)
+    with pytest.raises(MatrixParseError, match="limit of 1000 cells") as exc:
+        import_matrix(text, fmt)
+    assert exc.value.line == line
+
+
+def traced_peak(parse, text, fmt):
+    tracemalloc.start()
+    try:
+        parse(text, fmt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Shapes within the limit with no ones, or one in the far corner: every
+# index line is blank or nearly so. A table or per-row list sized from the
+# header alone would cost far more than the payload.
+@pytest.mark.parametrize("fmt", ["alist", "matrixmarket"])
+@pytest.mark.parametrize("rows,cols", [(5000, 1), (1, 5000)], ids=["tall", "wide"])
+@pytest.mark.parametrize("corner", [0, 1], ids=["zero", "corner"])
+def test_empty_shapes_allocate_no_more_than_the_reference(fmt, rows, cols, corner):
+    bits = (0,) * (rows - 1) + (corner << (cols - 1),)
+    text = export_matrix(BitMatrix(rows, cols, bits), fmt)
+    peak = traced_peak(import_matrix, text, fmt)
+    assert peak <= 1.1 * traced_peak(reference.import_matrix, text, fmt) + 4096
+
+
+@pytest.mark.parametrize("fmt", ["alist", "matrixmarket", "dense"])
+def test_size_limit_is_inclusive_and_counts_rows_64_wide(monkeypatch, fmt):
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 1000)
+    # 10 x 100 and 15 x 64 (15 x 10 counted 64 wide) fit; one more row does not
+    for rows, cols in ((10, 100), (15, 10)):
+        mat = BitMatrix(rows, cols, tuple(1 << (i % cols) for i in range(rows)))
+        assert import_matrix(export_matrix(mat, fmt), fmt) == mat
+        taller = BitMatrix(rows + 1, cols, mat.bits + (1,))
+        with pytest.raises(MatrixParseError, match="limit of 1000 cells"):
+            import_matrix(export_matrix(taller, fmt), fmt)

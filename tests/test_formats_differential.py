@@ -1,0 +1,200 @@
+"""alist and MatrixMarket codecs against the entry-at-a-time codecs in reference.py.
+
+Exports must be byte-identical. Every payload, well formed or mutated, must
+give the same matrix or raise MatrixParseError with the same line and
+message. Shapes cover 1 x n and n x 1, all-zero and all-ones rows and
+columns, widths 63, 64, 65 and 130, rows on both sides of the density at
+which ``supports()`` switches method, and lines of several hundred
+indices.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from altmat import BitMatrix, MatrixParseError, build_a, build_b, export_matrix, import_matrix
+from altmat.bitmatrix import column_supports
+from conftest import bit_matrices, random_matrix
+
+SPARSE_FORMATS = ("alist", "matrixmarket")
+
+
+@st.composite
+def threshold_matrices(draw):
+    """Rows whose weight is just below, at or just above one in eight."""
+    width = draw(st.sampled_from((8, 63, 64, 65, 130)))
+    rows = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    words = []
+    for _ in range(rows):
+        weight = max(0, width // 8 + rng.randint(-1, 2))
+        words.append(sum(1 << j for j in rng.sample(range(width), weight)))
+    return BitMatrix(rows, width, tuple(words))
+
+
+CODEC_SHAPES = st.one_of(
+    bit_matrices(),
+    bit_matrices(max_rows=1, max_cols=140),
+    bit_matrices(max_rows=140, max_cols=1),
+    st.sampled_from((63, 64, 65, 130)).flatmap(
+        lambda w: bit_matrices(max_rows=6, min_cols=w, max_cols=w)
+    ),
+    threshold_matrices(),
+)
+# transposing turns the all-zero and all-ones rows into columns
+MATRICES = st.tuples(CODEC_SHAPES, st.booleans()).map(
+    lambda mt: mt[0].transpose() if mt[1] else mt[0]
+)
+
+LONG_LINES = [
+    BitMatrix.ones(2, 300),
+    BitMatrix.ones(300, 2),
+    random_matrix(4, 600, 5),
+    random_matrix(600, 3, 6),
+    build_b(5, 5),
+    build_a(7, 5),
+]
+
+
+def outcome(parse, text, fmt):
+    try:
+        return "ok", parse(text, fmt)
+    except MatrixParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+def check_codecs(m):
+    for fmt in SPARSE_FORMATS:
+        text = export_matrix(m, fmt)
+        assert text == reference.export_matrix(m, fmt)
+        assert import_matrix(text, fmt) == m == reference.import_matrix(text, fmt)
+
+
+def check_supports(m):
+    rows = m.supports()
+    assert rows == [reference.row_ones(m, i) for i in range(m.rows)]
+    assert [m.row_ones(i) for i in range(m.rows)] == rows
+    t = reference.transpose(m)
+    assert column_supports(rows, m.cols) == [reference.row_ones(t, j) for j in range(m.cols)]
+
+
+@settings(max_examples=60)
+@given(MATRICES)
+def test_exports_and_round_trips_match_reference(m):
+    check_codecs(m)
+
+
+@settings(max_examples=60)
+@given(MATRICES)
+def test_supports_match_reference(m):
+    check_supports(m)
+
+
+@pytest.mark.parametrize("m", LONG_LINES, ids=lambda m: f"{m.rows}x{m.cols}")
+def test_long_lines_match_reference(m):
+    check_codecs(m)
+    check_supports(m)
+
+
+def mutate_token(lines, rng, bound, body):
+    """Replace one token of one line, most often an index line from ``body``
+    on, with a bad, odd or repeated spelling."""
+    t = rng.randrange(body if body < len(lines) and rng.random() < 0.8 else 0, len(lines))
+    tokens = lines[t].split()
+    if not tokens:
+        lines[t] = rng.choice(["1", "x", "0"])
+        return
+    k = rng.randrange(len(tokens))
+    tok = tokens[k]
+    tokens[k] = rng.choice([
+        "x", "", "0" + tok, "+" + tok, tok + "_0", "-1", "0", str(bound + 1), str(bound),
+        "1", str(int(tok) + 1) if tok.isdigit() else tok,
+    ] + [tokens[rng.randrange(len(tokens))]] * 4)
+    lines[t] = " ".join(tokens)
+
+
+MUTATIONS = ("token", "repeat", "swap", "drop", "copy", "blank", "extra", "entries")
+
+
+def mutate(text, fmt, kind, rng, bound):
+    lines = text.split("\n")[:-1]
+    body = 4 if fmt == "alist" else 2
+    if kind == "token":
+        mutate_token(lines, rng, bound, body)
+    elif kind == "repeat":
+        # one index of a line written over another; MatrixMarket lines hold
+        # one entry each, so there a whole entry line is written over another
+        if fmt == "matrixmarket":
+            if len(lines) > 3:
+                a, b = rng.sample(range(2, len(lines)), 2)
+                lines[b] = lines[a]
+        else:
+            t = rng.randrange(body, len(lines))
+            tokens = lines[t].split()
+            nonzero = [k for k, tok in enumerate(tokens) if tok != "0"]
+            if len(nonzero) > 1:
+                a, b = rng.sample(nonzero, 2)
+                tokens[b] = tokens[a]
+                lines[t] = " ".join(tokens)
+    elif kind == "swap":
+        # alist: two weights trade places; MatrixMarket: two lines do
+        if fmt == "alist":
+            t = rng.choice([2, 3])
+            tokens = lines[t].split()
+            a, b = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[t] = " ".join(tokens)
+        else:
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+    elif kind == "drop":
+        del lines[rng.randrange(len(lines))]
+    elif kind == "copy":
+        lines.insert(rng.randrange(len(lines) + 1), lines[rng.randrange(len(lines))])
+    elif kind == "blank":
+        t = rng.randrange(len(lines))
+        lines[t] = rng.choice([" ", "\t", "  ", "\r"]).join(
+            [""] * rng.randint(0, 1) + lines[t].split(" ") + [""] * rng.randint(0, 1)
+        )
+    elif kind == "extra":
+        t = rng.randrange(len(lines))
+        lines[t] += rng.choice([" 1", " 0", " x", " " + str(bound)])
+    elif fmt == "matrixmarket":
+        # entries: shuffled, or one repeated with nnz raised to match
+        body = lines[2:]
+        if body and rng.random() < 0.5:
+            body.append(rng.choice(body))
+            rows, cols, nnz = lines[1].split()
+            lines[1] = f"{rows} {cols} {int(nnz) + 1}"
+        rng.shuffle(body)
+        lines[2:] = body
+    else:
+        # entries: one index line of the alist body reversed
+        t = rng.randrange(4, len(lines))
+        lines[t] = " ".join(reversed(lines[t].split()))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(
+    MATRICES,
+    st.sampled_from(SPARSE_FORMATS),
+    st.sampled_from(MUTATIONS),
+    st.randoms(use_true_random=False),
+)
+def test_mutated_payloads_match_reference(m, fmt, kind, rng):
+    text = mutate(export_matrix(m, fmt), fmt, kind, rng, max(m.rows, m.cols))
+    assert outcome(import_matrix, text, fmt) == outcome(reference.import_matrix, text, fmt)
+
+
+@pytest.mark.parametrize("m", LONG_LINES, ids=lambda m: f"{m.rows}x{m.cols}")
+@pytest.mark.parametrize("fmt", SPARSE_FORMATS)
+def test_mutated_long_lines_match_reference(m, fmt):
+    rng = random.Random(f"{m.rows}x{m.cols}{fmt}")
+    text = export_matrix(m, fmt)
+    for kind in MUTATIONS * 3:
+        bad = mutate(text, fmt, kind, rng, max(m.rows, m.cols))
+        assert outcome(import_matrix, bad, fmt) == outcome(reference.import_matrix, bad, fmt)
