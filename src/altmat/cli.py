@@ -17,7 +17,7 @@ from .codes import make_code
 from .encoder import GapSystemInconsistent, encode, make_encoder, verify_codeword
 from .families import build_a, build_b, dims_of
 from .formats import FORMATS, MatrixParseError, export_matrix, import_matrix
-from .incidence import build_l_oracle, build_m
+from .incidence import build_l_oracle, build_m, l_oracle_dims, m_dims
 from .reports import (
     code_report,
     construction_report,
@@ -51,25 +51,32 @@ def _read(path: str | None) -> str:
         return fh.read()
 
 
+def _check_size(request: str, dims: tuple[int, int]) -> None:
+    """Refuse, before anything is built, a matrix past the desk-scale limit."""
+    rows, cols = dims
+    if not bitmatrix.within_limit(rows, cols):
+        raise ValueError(
+            f"{request} would be {rows} x {cols}, "
+            f"past the limit of {bitmatrix.MAX_CELLS} cells"
+        )
+
+
 def _gen_matrix(args) -> BitMatrix:
     if args.family in ("a", "b"):
         if args.k is None or args.l is None:
             raise ValueError("gen a|b requires --k and --l")
-        rows, cols = dims_of(args.k, args.l)
-        if not bitmatrix.within_limit(rows, cols):
-            raise ValueError(
-                f"gen {args.family} --k {args.k} --l {args.l} would be {rows} x {cols}, "
-                f"past the limit of {bitmatrix.MAX_CELLS} cells"
-            )
+        _check_size(f"gen {args.family} --k {args.k} --l {args.l}", dims_of(args.k, args.l))
         return build_a(args.k, args.l) if args.family == "a" else build_b(args.k, args.l)
     if args.family == "lk":
         if args.k is None:
             raise ValueError("gen lk requires --k")
+        _check_size(f"gen lk --k {args.k}", l_oracle_dims(args.k))
         return build_l_oracle(args.k)
     if args.k is not None or args.l is not None:
         raise ValueError("gen m takes only --n")
     if args.n is None:
         raise ValueError("gen m requires --n")
+    _check_size(f"gen m --n {args.n}", m_dims(args.n))
     return build_m(args.n)
 
 

@@ -62,10 +62,13 @@ class CodePair:
 
 @dataclass(frozen=True)
 class ParityCheckResult:
+    """Outcome of ``is_parity_check``; ``product`` is G·H^T over GF(2)."""
+
     ok: bool
     witness: tuple[int, int] | None
     generator_rank: int
     parity_rank: int
+    product: BitMatrix
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def is_parity_check(code: CodePair) -> ParityCheckResult:
     rg = gf2_rank(code.generator)
     rp = gf2_rank(code.parity)
     ok = witness is None and rg + rp == 2 * code.n0
-    return ParityCheckResult(ok, witness, rg, rp)
+    return ParityCheckResult(ok, witness, rg, rp, prod)
 
 
 def isodual_witness(code: CodePair) -> IsodualWitness:

@@ -15,27 +15,28 @@ list of index strings.
 
 Import converts tokens through a table ``{str(v): v}`` sized from the
 already-checked header and capped at twice the number of ones it declares
-(for MatrixMarket, its entry lines), so one lookup both converts a token
-and bounds it, and a payload with few ones builds no large table whatever
-shape it declares. Only a token the table misses ("05", "+3", an index out
-of range or past the cap, a word) goes through ``int()``, which keeps the
-language a plain ``int()`` parse accepts. Row words are summed from
-shifted bits, never set one entry at a time, so a repeated index shows as
-a popcount short of the entry count. The MatrixMarket entry section is
-split and converted in one pass; a section that pass does not take as it
-stands goes line by line. alist lines are converted one line at a time;
-the column section's indices are gathered per row (only rows that get a
-one have a list), each row line must list exactly its row's gathered
-columns, and the words are summed from those lists. Errors name the first
-bad line in file order, as a line-by-line parse would. A header whose
-shape is past ``bitmatrix.within_limit`` is refused on its size line
-before anything is allocated.
+(for MatrixMarket, its entry lines; for each alist section, also the
+tokens its lines can hold), so one lookup both converts a token and bounds
+it, and a payload with few ones, or a header that overstates them, builds
+no large table whatever shape it declares. Only a token the table misses
+("05", "+3", an index out of range or past the cap, a word) goes through
+``int()``, which keeps the language a plain ``int()`` parse accepts. Row
+words are summed from shifted bits, never set one entry at a time, so a
+repeated index shows as a popcount short of the entry count. The
+MatrixMarket entry section is split and converted in one pass; a section
+that pass does not take as it stands goes line by line. alist lines are
+converted one line at a time; the column section's indices are gathered
+per row (only rows that get a one have a list), each row line must list
+exactly its row's gathered columns, and the words are summed from those
+lists. Errors name the first bad line in file order, as a line-by-line
+parse would. A header whose shape is past ``bitmatrix.within_limit`` is
+refused on its size line before anything is allocated.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress, count, islice, pairwise, repeat
 from operator import lshift, ne
 
@@ -114,6 +115,14 @@ def _check_size(rows: int, cols: int, lineno: int) -> None:
 def _index_table(n: int) -> dict[str, int]:
     """{"0": 0, "1": 1, ..., str(n): n}."""
     return dict(zip(map(str, range(n + 1)), range(n + 1)))
+
+
+def _token_bound(lines: Iterable[str], nlines: int) -> int:
+    """At most this many blank-separated tokens are on the nlines lines given.
+
+    A token is at least one character, and a blank or a line end follows it.
+    """
+    return (sum(map(len, lines)) + nlines) // 2
 
 
 def _ints(line: str, lineno: int, table: dict[str, int] | None = None) -> list[int]:
@@ -282,15 +291,21 @@ def _parse_alist(text: str) -> BitMatrix:
         raise MatrixParseError(2, "rmax does not match the row weights")
     if sum(col_weights) != sum(row_weights):
         raise MatrixParseError(4, "row and column weights disagree on the number of ones")
-    # no larger than the declared index count, so a header with few ones
-    # builds no huge table (indices past it miss and go through int())
-    table = _index_table(min(max(rows, cols), 2 * sum(col_weights) + 1))
+    # each section's table covers the indices it may hold, but no more than
+    # the declared index count nor the tokens its lines can hold, so a
+    # header with few ones or a short section builds no huge table (indices
+    # past it miss and go through int())
+    declared = 2 * sum(col_weights) + 1
+    col_tokens = _token_bound(islice(lines, 4, 4 + cols), cols)
+    row_tokens = _token_bound(islice(lines, 4 + cols, None), rows)
+    col_table = _index_table(min(rows, declared, col_tokens))
+    row_table = _index_table(min(cols, declared, row_tokens))
     # the columns of each row, gathered from the column section in order;
     # only rows that get a one have a list
     row_idx: defaultdict[int, list[int]] = defaultdict(list)
     for j, weight in enumerate(col_weights, 1):
         lineno = 4 + j
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno, table)))
+        idx = list(filter(None, _ints(lines[lineno - 1], lineno, col_table)))
         if len(idx) != weight:
             raise MatrixParseError(
                 lineno, f"column {j} lists {len(idx)} entries, header says {weight}"
@@ -304,7 +319,7 @@ def _parse_alist(text: str) -> BitMatrix:
             row_idx[i].append(j)
     for i, weight in enumerate(row_weights, 1):
         lineno = 4 + cols + i
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno, table)))
+        idx = list(filter(None, _ints(lines[lineno - 1], lineno, row_table)))
         if len(idx) != weight:
             raise MatrixParseError(
                 lineno, f"row {i} lists {len(idx)} entries, header says {weight}"

@@ -31,6 +31,20 @@ def symplectic_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, 2 * n - i + 1) for i in range(1, n + 1)]
 
 
+def l_oracle_dims(k: int) -> tuple[int, int]:
+    """Order of build_l_oracle(k): (C(2k-2, k-2), C(2k-2, k-1))."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    return comb(2 * k - 2, k - 2), comb(2 * k - 2, k - 1)
+
+
+def m_dims(n: int) -> tuple[int, int]:
+    """Order of build_m(n): (C(2n, n-2), C(2n, n))."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    return comb(2 * n, n - 2), comb(2 * n, n)
+
+
 def build_l_oracle(k: int) -> BitMatrix:
     """Inclusion matrix of (k-2)- into (k-1)-subsets of a (2k-2)-set.
 
@@ -38,8 +52,7 @@ def build_l_oracle(k: int) -> BitMatrix:
     is contained in the column subset. Every row has weight k, every column
     weight k-1, and all rows are distinct.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
+    rows, ncols = l_oracle_dims(k)
     m = 2 * k - 2
     cols = list(combinations(range(1, m + 1), k - 1))
     col_pos = {c: t for t, c in enumerate(cols)}
@@ -51,7 +64,7 @@ def build_l_oracle(k: int) -> BitMatrix:
             if x not in in_s:
                 word |= 1 << col_pos[tuple(sorted(s + (x,)))]
         words.append(word)
-    return BitMatrix(comb(m, k - 2), comb(m, k - 1), tuple(words))
+    return BitMatrix(rows, ncols, tuple(words))
 
 
 def build_m(n: int) -> BitMatrix:
@@ -61,8 +74,7 @@ def build_m(n: int) -> BitMatrix:
     pair {i, 2n-i+1} disjoint from the support of alpha. Row weights equal
     the number of such disjoint pairs.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
+    rows, ncols = m_dims(n)
     cols = index_set(n, 2 * n)
     col_pos = {c: t for t, c in enumerate(cols)}
     pairs = symplectic_pairs(n)
@@ -74,7 +86,7 @@ def build_m(n: int) -> BitMatrix:
             if i not in sup and j not in sup:
                 word |= 1 << col_pos[tuple(sorted(alpha + (i, j)))]
         words.append(word)
-    return BitMatrix(comb(2 * n, n - 2), comb(2 * n, n), tuple(words))
+    return BitMatrix(rows, ncols, tuple(words))
 
 
 # -- permutation equivalence --------------------------------------------------
@@ -92,9 +104,11 @@ def bipartite_isomorphism(
 
     Classic color refinement with individualization: rows and columns get
     colors refined by the multiset of neighbour colors; ambiguous classes
-    are split by fixing one vertex and trying each compatible image. Every
-    leaf candidate is verified entry by entry, so a returned pair is always
-    a genuine witness (row_perm[i] is the b-row matching a-row i).
+    are split by fixing one vertex and trying each compatible image, depth
+    first on an explicit stack, so a search many levels deep needs no
+    recursion. Every leaf candidate is verified entry by entry, so a
+    returned pair is always a genuine witness (row_perm[i] is the b-row
+    matching a-row i).
     """
     if a.rows != b.rows or a.cols != b.cols:
         return None
@@ -134,19 +148,8 @@ def bipartite_isomorphism(
                 return None
         return row_perm, col_perm
 
-    def solve(rc_a, cc_a, rc_b, cc_b):
-        refined = refine(rc_a, cc_a, rc_b, cc_b)
-        if refined is None:
-            return None
-        rc_a, cc_a, rc_b, cc_b = refined
-        target = None
-        for side, arr in (("r", rc_a), ("c", cc_a)):
-            for color, cnt in Counter(arr).items():
-                if cnt > 1 and (target is None or cnt < target[2]):
-                    target = (side, color, cnt)
-        if target is None:
-            return extract(rc_a, cc_a, rc_b, cc_b)
-        side, color, _ = target
+    def children(rc_a, cc_a, rc_b, cc_b, side, color):
+        """The individualizations of the first a-vertex of color, one per b-image."""
         arr_a, arr_b = (rc_a, rc_b) if side == "r" else (cc_a, cc_b)
         fresh = max(arr_a) + 1
         v = arr_a.index(color)
@@ -156,15 +159,31 @@ def bipartite_isomorphism(
             na, nb = list(arr_a), list(arr_b)
             na[v] = fresh
             nb[w] = fresh
-            if side == "r":
-                res = solve(na, cc_a, nb, cc_b)
-            else:
-                res = solve(rc_a, na, rc_b, nb)
-            if res is not None:
-                return res
-        return None
+            yield (na, cc_a, nb, cc_b) if side == "r" else (rc_a, na, rc_b, nb)
 
-    return solve([0] * a.rows, [0] * a.cols, [0] * b.rows, [0] * b.cols)
+    # one iterator of states still to try per level of individualization
+    stack = [iter([([0] * a.rows, [0] * a.cols, [0] * b.rows, [0] * b.cols)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        refined = refine(*state)
+        if refined is None:
+            continue
+        rc_a, cc_a, _, _ = refined
+        target = None
+        for side, arr in (("r", rc_a), ("c", cc_a)):
+            for color, cnt in Counter(arr).items():
+                if cnt > 1 and (target is None or cnt < target[2]):
+                    target = (side, color, cnt)
+        if target is None:
+            found = extract(*refined)
+            if found is not None:
+                return found
+            continue
+        stack.append(children(*refined, *target[:2]))
+    return None
 
 
 def permutation_equivalent(a: BitMatrix, b: BitMatrix) -> bool:
@@ -190,7 +209,7 @@ class BlockReport:
 def _candidate_order(rows: int, cols: int) -> int | None:
     j = 2
     while True:
-        r, c = comb(2 * j - 2, j - 2), comb(2 * j - 2, j - 1)
+        r, c = l_oracle_dims(j)
         if r == rows and c == cols:
             return j
         if r > rows:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from math import comb
 
-from .bitmatrix import exact_rank, flip_transpose, gf2_mul, gf2_rank
+from .bitmatrix import exact_rank, flip_transpose, gf2_rank
 from .codes import (
     ENUMERATION_LIMIT,
     distance_bound,
@@ -40,6 +40,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
             a = build_a(k, ell)
             b = build_b(k, ell)
             corner = comb(k + ell - 2, ell - 1)
+            flip_a, flip_b = flip_transpose(a), flip_transpose(b)
             cell = {
                 "k": k,
                 "ell": ell,
@@ -49,8 +50,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
                 "row_sums_ok": set(a.row_sums()) == {k},
                 "col_sums_ok": set(a.col_sums()) == {ell},
                 "complement_ok": a.xor(b).complement().is_zero(),
-                "flip_ok": flip_transpose(a) == build_a(ell, k)
-                and flip_transpose(b) == build_b(ell, k),
+                "flip_ok": flip_a == build_a(ell, k) and flip_b == build_b(ell, k),
             }
             if ell >= 2:
                 cell["corner_identity_ok"] = all(
@@ -60,7 +60,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
             if k >= 2 and ell >= 2:
                 cell["fragment_ok"] = fragment_a(k, ell).reassemble() == a
             if k == ell:
-                cell["persymmetric_ok"] = flip_transpose(a) == a and flip_transpose(b) == b
+                cell["persymmetric_ok"] = flip_a == a and flip_b == b
             all_ok &= all(v for key, v in cell.items() if key.endswith("_ok"))
             cells.append(cell)
     return {"kind": "construction", "kmax": kmax, "lmax": lmax, "ok": all_ok, "cells": cells}
@@ -152,7 +152,7 @@ def code_report(k: int, variant: str) -> dict:
         "parity_check_ok": pc.ok,
         "distance_bound": distance_bound(n0),
     }
-    prod = gf2_mul(code.generator, code.parity.transpose())
+    prod = pc.product
     out["parity_product_zero"] = prod.is_zero()
     mask = (1 << prod.cols) - 1
     if prod.is_zero():

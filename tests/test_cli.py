@@ -3,6 +3,7 @@ import json
 import pytest
 
 from altmat import bitmatrix, build_a, build_b, export_matrix, import_matrix
+from altmat import cli
 from altmat.cli import main
 
 
@@ -149,6 +150,24 @@ def test_oversized_gen_is_a_usage_error(monkeypatch, capsys):
     assert code == 2 and out == "" and "limit" in err
     code, _, _ = run(capsys, "gen", "b", "--k", "4", "--l", "3", "--report")
     assert code == 0
+
+
+def test_oversized_gen_lk_and_m_are_refused_before_building(monkeypatch, capsys):
+    # lk --k 4 is 15 x 20 and m --n 4 is 28 x 70, within 2000 cells counted
+    # 64 wide; lk --k 5 is 56 x 70 and m --n 5 is 120 x 252, past it
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 2000)
+    for argv in (("lk", "--k", "4"), ("m", "--n", "4")):
+        code, _, _ = run(capsys, "gen", *argv, "--report")
+        assert code == 0
+
+    def refuse(_):
+        raise AssertionError("built past the limit")
+
+    monkeypatch.setattr(cli, "build_l_oracle", refuse)
+    monkeypatch.setattr(cli, "build_m", refuse)
+    for argv in (("lk", "--k", "5"), ("m", "--n", "5", "--report")):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == "" and "limit of 2000 cells" in err
 
 
 def test_oversized_import_header_is_a_parse_error(monkeypatch, tmp_path, capsys):

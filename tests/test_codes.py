@@ -92,6 +92,7 @@ def test_dense_k4_parity_product_is_all_ones():
     # column sums of the dense core are n0-(k-1) = 7, odd, so every entry is 1
     prod = gf2_mul(code.generator, code.parity.transpose())
     assert prod == BitMatrix.ones(10, 10)
+    assert res.product == prod
 
 
 @pytest.mark.parametrize("k", [3, 4, 6])
@@ -251,6 +252,22 @@ def test_code_report_enumerates_each_code_once(monkeypatch):
     report = reports.code_report(4, "sparse")
     assert len(calls) == 1
     assert report["min_distance"] == 4 and report["min_distance_within_bound"]
+
+
+def test_code_report_multiplies_the_parity_product_once(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gf2_mul(a, b)
+
+    # count a product taken in either module, whether or not reports imports it
+    monkeypatch.setattr(codes, "gf2_mul", counting)
+    monkeypatch.setattr(reports, "gf2_mul", counting, raising=False)
+    report = reports.code_report(4, "dense")
+    assert len(calls) == 1
+    assert report["parity_product_entries"] == [1]
+    assert not report["parity_product_zero"]
 
 
 def test_distance_bound_switches_at_length_32():

@@ -4,6 +4,8 @@ Shapes cover small matrices, 1 x n and n x 1, all-zero and all-ones rows,
 rows wider than 64 and 128 bits, and pivots past bit 64.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from altmat import (
     BitMatrix,
     CodePair,
     build_a,
+    build_b,
     export_matrix,
     flip_transpose,
     gf2_matvec,
@@ -57,10 +60,14 @@ EDGE_CASES = [
 ]
 
 
-def check_transforms(m):
+def check_kernel(m):
     assert m.transpose() == reference.transpose(m)
     assert flip_transpose(m) == reference.flip_transpose(m)
     assert m.col_sums() == reference.col_sums(m)
+
+
+def check_transforms(m):
+    check_kernel(m)
     for i in range(m.rows):
         assert m.row_ones(i) == reference.row_ones(m, i)
     assert m.to_lists() == [[(w >> j) & 1 for j in range(m.cols)] for w in m.bits]
@@ -88,6 +95,54 @@ def test_edge_shapes_match_reference(m):
     check_dense_format(m)
     for rhs in ((0,) * m.rows, (1,) * m.rows, tuple(row[0] for row in m.to_lists())):
         assert gf2_solve(m, rhs) == reference.gf2_solve(m, rhs)
+
+
+# The smaller side at and around the tile sides 8 and 64 and past the 64-bit
+# tile cap, the other side much longer: one band of tiles when wide, a stack
+# of bands when tall.
+LONG_SHAPES = [
+    shape for d in (1, 7, 8, 9, 63, 64, 65, 129) for shape in ((d, 8 * d + 300), (8 * d + 300, d))
+]
+
+
+@pytest.mark.parametrize("rows,cols", LONG_SHAPES)
+def test_long_shapes_transform_like_the_reference(rows, cols):
+    check_kernel(random_matrix(rows, cols, rows * 1000 + cols))
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 33, 100, 200])
+def test_non_power_of_two_squares_transform_like_the_reference(n):
+    check_kernel(random_matrix(n, n, n))
+
+
+# all-ones columns count every row: 300 rows take 9 counter planes, 513 a
+# carry into a tenth, 1024 a carry through all eleven
+@pytest.mark.parametrize("rows,cols", [(300, 7), (513, 70), (1024, 3), (300, 130)])
+def test_full_columns_carry_through_every_counter_plane(rows, cols):
+    check_kernel(BitMatrix.ones(rows, cols))
+    check_kernel(BitMatrix.zeros(rows, cols))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_family_grid_transforms_like_the_reference(k):
+    for ell in range(1, 7):
+        check_kernel(build_a(k, ell))
+        check_kernel(build_b(k, ell))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1 << 16), (1 << 16, 1)], ids=["wide", "tall"])
+def test_transpose_peaks_near_the_packed_size(rows, cols):
+    # besides its bits, the input holds one reference per row and the output
+    # one per column; padding either shape to a square would take 2^32 bits
+    m = random_matrix(rows, cols, 16)
+    tracemalloc.start()
+    try:
+        t = m.transpose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (8 * (rows + cols) + rows * cols // 8)
+    assert (t.rows, t.cols) == (cols, rows) and t.transpose() == m
 
 
 @settings(max_examples=50)

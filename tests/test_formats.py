@@ -243,25 +243,45 @@ def test_oversized_headers_are_refused_on_their_size_line(monkeypatch, fmt, text
 
 
 def traced_peak(parse, text, fmt):
+    """Peak traced memory of parse(text, fmt), with its result or the error it raised."""
     tracemalloc.start()
     try:
-        parse(text, fmt)
-        return tracemalloc.get_traced_memory()[1]
+        try:
+            result = parse(text, fmt)
+        except MatrixParseError as exc:
+            result = str(exc)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def _corner_payload(fmt, rows, cols, corner):
+    bits = (0,) * (rows - 1) + (corner << (cols - 1),)
+    return export_matrix(BitMatrix(rows, cols, bits), fmt)
+
+
+# 20000 x 1 whose one column line is empty but whose header says it holds
+# 20000 ones (the row weights agree): refused on that line, line 5.
+OVERSTATED_ALIST = "1 20000\n20000 1\n20000\n" + " ".join(["1"] * 20000) + "\n0\n" + "1\n" * 20000
 
 
 # Shapes within the limit with no ones, or one in the far corner: every
 # index line is blank or nearly so. A table or per-row list sized from the
 # header alone would cost far more than the payload.
-@pytest.mark.parametrize("fmt", ["alist", "matrixmarket"])
-@pytest.mark.parametrize("rows,cols", [(5000, 1), (1, 5000)], ids=["tall", "wide"])
-@pytest.mark.parametrize("corner", [0, 1], ids=["zero", "corner"])
-def test_empty_shapes_allocate_no_more_than_the_reference(fmt, rows, cols, corner):
-    bits = (0,) * (rows - 1) + (corner << (cols - 1),)
-    text = export_matrix(BitMatrix(rows, cols, bits), fmt)
-    peak = traced_peak(import_matrix, text, fmt)
-    assert peak <= 1.1 * traced_peak(reference.import_matrix, text, fmt) + 4096
+SPARSE_PAYLOADS = [
+    pytest.param(fmt, _corner_payload(fmt, rows, cols, corner), id=f"{cid}-{sid}-{fmt}")
+    for cid, corner in (("zero", 0), ("corner", 1))
+    for sid, rows, cols in (("tall", 5000, 1), ("wide", 1, 5000))
+    for fmt in ("alist", "matrixmarket")
+] + [pytest.param("alist", OVERSTATED_ALIST, id="overstated-weight-alist")]
+
+
+@pytest.mark.parametrize("fmt,text", SPARSE_PAYLOADS)
+def test_empty_shapes_allocate_no_more_than_the_reference(fmt, text):
+    peak, got = traced_peak(import_matrix, text, fmt)
+    ref_peak, want = traced_peak(reference.import_matrix, text, fmt)
+    assert got == want
+    assert peak <= 1.1 * ref_peak + 4096
 
 
 @pytest.mark.parametrize("fmt", ["alist", "matrixmarket", "dense"])

@@ -1,3 +1,5 @@
+import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -155,6 +157,33 @@ def test_isomorphism_witness_on_a_shuffled_matrix():
     for i in range(a.rows):
         for j in range(a.cols):
             assert shuffled.get(i, j) == a.get(rp[i], cp[j])
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_isomorphism_search_needs_no_recursion():
+    # refinement alone never splits identity(n), and each individualized row
+    # splits off only itself and its column: the search goes n - 1 levels
+    # deep, far past the lowered recursion limit
+    n = 150
+    a = BitMatrix.identity(n)
+    rng = random.Random(7)
+    shuffled = a.submatrix(rng.sample(range(n), n), rng.sample(range(n), n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        found = bipartite_isomorphism(a, shuffled)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is not None
+    rp, cp = found
+    for i in range(n):
+        assert shuffled.bits[rp[i]] == 1 << cp[i]
 
 
 def test_isomorphism_detects_inequivalence():
