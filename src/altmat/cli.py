@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import bitmatrix
 from .bitmatrix import BitMatrix
@@ -80,22 +81,27 @@ def _gen_matrix(args) -> BitMatrix:
     return build_m(args.n)
 
 
+def _summary(m: BitMatrix) -> dict:
+    row_sums = m.row_sums()
+    return {
+        "kind": "matrix",
+        "rows": m.rows,
+        "cols": m.cols,
+        "ones": sum(row_sums),
+        "row_sums": sorted(set(row_sums)),
+        "col_sums": sorted(set(m.col_sums())),
+    }
+
+
 def _cmd_gen(args) -> int:
     m = _gen_matrix(args)
     if args.report:
-        report = {
-            "kind": "matrix",
-            "family": args.family,
-            "params": {
-                key: val
-                for key, val in (("k", args.k), ("l", args.l), ("n", args.n))
-                if val is not None
-            },
-            "rows": m.rows,
-            "cols": m.cols,
-            "ones": sum(m.row_sums()),
-            "row_sums": sorted(set(m.row_sums())),
-            "col_sums": sorted(set(m.col_sums())),
+        report = _summary(m)
+        report["family"] = args.family
+        report["params"] = {
+            key: val
+            for key, val in (("k", args.k), ("l", args.l), ("n", args.n))
+            if val is not None
         }
         _emit_report(report, args.out)
     else:
@@ -105,6 +111,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     kmax, lmax = args.grid
+    if min(kmax, lmax) >= 1:  # an empty grid builds nothing
+        # the (kmax, lmax) cell is the grid's largest
+        _check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
     report = construction_report(kmax, lmax)
     if args.ranks:
         report["square_rank"] = rank_report(min(kmax, 5))
@@ -117,12 +126,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_size(f"decompose --n {args.n}", m_dims(args.n))
     report = decompose_report(args.n, include_rank=not args.skip_rank)
     _emit_report(report, args.out)
     return EXIT_OK if report["unidentified"] == 0 else EXIT_CHECK
 
 
 def _cmd_code(args) -> int:
+    if args.k >= 3:  # a smaller k is left to make_code's own error
+        n0 = comb(2 * args.k - 3, args.k - 2)
+        _check_size(f"code {args.action} --k {args.k}", (n0, 2 * n0))
     if args.action == "gen":
         code = make_code(args.k, args.variant)
         _emit(export_matrix(code.generator, args.format), args.out)
@@ -159,6 +172,8 @@ def _cmd_encode(args) -> int:
     if any(ch not in "01" for ch in args.message) or not args.message:
         raise ValueError("--message must be a nonempty string of 0/1 characters")
     message = tuple(int(ch) for ch in args.message)
+    if 2 <= args.l < args.k:  # other (k, l) are left to partition_h's own errors
+        _check_size(f"encode --k {args.k} --l {args.l}", dims_of(args.k, args.l))
     enc = make_encoder(args.k, args.l)
     word = encode(enc, message)
     report = {
@@ -181,15 +196,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_import(args) -> int:
     m = import_matrix(_read(args.inp), args.format)
-    report = {
-        "kind": "matrix",
-        "rows": m.rows,
-        "cols": m.cols,
-        "ones": sum(m.row_sums()),
-        "row_sums": sorted(set(m.row_sums())),
-        "col_sums": sorted(set(m.col_sums())),
-    }
-    _emit_report(report, args.out)
+    _emit_report(_summary(m), args.out)
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 The sparse code has generator (I | A) and check matrix (A^T | I) with
 A = build_a(k-1, k-1), a square persymmetric matrix of order
 n0 = C(2k-3, k-2); the dense variant uses (J-I | B) and (B^T | I) with
-B the complement family member. Weight enumerators, fits against the
-Gleason generators g1 = y^2+x^2 and g2 = x^2y^2(x^2-y^2)^2, and minimum
-distances are computed by exact enumeration at desk scale.
+B the complement family member. Weight enumerators and minimum distances
+are computed by exact enumeration at desk scale. Fits against the Gleason
+generators g1 = y^2+x^2 and g2 = x^2y^2(x^2-y^2)^2 solve a unitriangular
+integer system by forward substitution, with no rational arithmetic.
 
 The degree-8 generator is the one that makes a0 the x^0 coefficient: the
 other classical choice y^8+14x^4y^4+x^8 equals g1^4 - 4*g2, so both pairs
@@ -16,10 +17,9 @@ containing the zero word and keeps the k=4 fit integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .bitmatrix import BitMatrix, gf2_basis, gf2_mul, gf2_rank, gf2_reduce, unpack_bits
+from .bitmatrix import BitMatrix, compose, gf2_basis, gf2_mul, gf2_rank, gf2_reduce, unpack_bits
 from .families import build_a, build_b
 
 ENUMERATION_LIMIT = 24
@@ -112,13 +112,6 @@ class MinDistanceResult:
     bound: int
 
 
-def _hconcat(left: BitMatrix, right: BitMatrix) -> BitMatrix:
-    if left.rows != right.rows:
-        raise ValueError("height mismatch")
-    words = tuple(a | (b << left.cols) for a, b in zip(left.bits, right.bits))
-    return BitMatrix(left.rows, left.cols + right.cols, words)
-
-
 def make_code(k: int, variant: str) -> CodePair:
     """[2*n0, n0] code pair for n0 = C(2k-3, k-2); variant 'sparse' or 'dense'."""
     if k < 3:
@@ -126,12 +119,12 @@ def make_code(k: int, variant: str) -> CodePair:
     n0 = comb(2 * k - 3, k - 2)
     if variant == "sparse":
         core = build_a(k - 1, k - 1)
-        gen = _hconcat(BitMatrix.identity(n0), core)
-        par = _hconcat(core.transpose(), BitMatrix.identity(n0))
+        gen = compose([BitMatrix.identity(n0), core])
+        par = compose([core.transpose(), BitMatrix.identity(n0)])
     elif variant == "dense":
         core = build_b(k - 1, k - 1)
-        gen = _hconcat(BitMatrix.hollow_ones(n0), core)
-        par = _hconcat(core.transpose(), BitMatrix.identity(n0))
+        gen = compose([BitMatrix.hollow_ones(n0), core])
+        par = compose([core.transpose(), BitMatrix.identity(n0)])
     else:
         raise ValueError("variant must be 'sparse' or 'dense'")
     return CodePair(gen, par, n0, variant, k)
@@ -218,49 +211,26 @@ def _poly_pow(p: dict[int, int], e: int) -> dict[int, int]:
 def gleason_fit(w: WeightEnumerator, n0: int) -> GleasonFit:
     """Integer coefficients a_i with W = sum a_i g1^(n0-4i) g2^i, if they exist.
 
-    Only g1^n0 has an x^0 term, so a0 always equals the weight-0 count.
-    The basis polynomials are linearly independent, so the candidate
-    solution is unique; exact means zero residual with integer a_i. On
-    failure the residual is taken against the nearest integer vector.
+    Basis polynomial i has its lowest x-degree term at 2i, with coefficient
+    1, so the system is unitriangular and forward substitution solves it
+    over the integers: a_i is the residual's x^(2i) coefficient, and a_i
+    times basis i is then subtracted. The fit is exact iff the residual
+    ends at zero; otherwise that nonzero residual is returned.
     """
     if w.length != 2 * n0:
         raise ValueError("enumerator length must be 2*n0")
-    terms = n0 // 4 + 1
-    basis = [_poly_mul(_poly_pow(G1, n0 - 4 * i), _poly_pow(G2, i)) for i in range(terms)]
-    target = [0] * (2 * n0 + 1)
+    residual = [0] * (2 * n0 + 1)
     for wt, c in w.coeffs:
-        target[wt] = c
-    rows = [[Fraction(basis[i].get(wt, 0)) for i in range(terms)] + [Fraction(target[wt])]
-            for wt in range(2 * n0 + 1)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(terms):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * terms
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
-    consistent = all(row[-1] == 0 for row in rows[r:])
-    integral = all(x.denominator == 1 for x in sol)
-    if consistent and integral:
-        return GleasonFit(tuple(int(x) for x in sol), True, None)
-    rounded = [round(x) for x in sol]
-    residual = []
-    for wt in range(2 * n0 + 1):
-        val = target[wt] - sum(rounded[i] * basis[i].get(wt, 0) for i in range(terms))
-        if val:
-            residual.append((wt, int(val)))
-    return GleasonFit((), False, tuple(residual))
+        residual[wt] = c
+    a = []
+    for i in range(n0 // 4 + 1):
+        ai = residual[2 * i]
+        for wt, c in _poly_mul(_poly_pow(G1, n0 - 4 * i), _poly_pow(G2, i)).items():
+            residual[wt] -= ai * c
+        a.append(ai)
+    if any(residual):
+        return GleasonFit((), False, tuple((wt, v) for wt, v in enumerate(residual) if v))
+    return GleasonFit(tuple(a), True, None)
 
 
 def distance_bound(n0: int) -> int:

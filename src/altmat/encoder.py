@@ -1,9 +1,10 @@
 """Encoder for the regular code checked by build_a(k, ell).
 
-The check matrix splits as [[T, 0, 0], [I, B, A]] along its recursive block
-structure, with T = build_a(k, ell-1). Writing a codeword as (p2 | p1 | s),
-the bottom rows give p2 = B·p1 + A·s and the top rows reduce to the small
-gap system (T·B)·p1 = T·A·s, of order g = C(k+ell-2, ell-2). The gap matrix
+The check matrix is fragment_a(k, ell)'s split [[T, 0], [I, X]], with
+T = build_a(k, ell-1) and X = build_a(k-1, ell); the encoder cuts X as
+(B | A) after g = C(k+ell-2, ell-2) columns. Writing a codeword as
+(p2 | p1 | s), the bottom rows give p2 = B·p1 + A·s and the top rows reduce
+to the small gap system (T·B)·p1 = T·A·s, of order g. The gap matrix
 T·B is singular over GF(2) for every (k, ell) with this split (the all-ones
 row combination of its rows vanishes because column sums are ell-1 and ell),
 so instead of inverting we row-reduce once and keep one particular solution
@@ -33,7 +34,7 @@ from .bitmatrix import (
     pack_bits,
     unpack_bits,
 )
-from .families import build_a
+from .families import Fragmentation, build_a, fragment_a
 
 
 class GapSystemInconsistent(ValueError):
@@ -50,62 +51,43 @@ class GapSystemInconsistent(ValueError):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Block split [[top, 0, 0], [ident, b, a]] of build_a(k, ell)."""
+class Partition(Fragmentation):
+    """fragment_a(k, ell) with its tail cut as (b | a) after ``gap`` columns."""
 
     k: int
     ell: int
-    top: BitMatrix
-    ident: BitMatrix
-    b: BitMatrix
-    a: BitMatrix
-
-    @property
-    def gap(self) -> int:
-        return self.b.cols
+    gap: int
 
     @property
     def message_len(self) -> int:
-        return self.a.cols
+        return self.tail.cols - self.gap
 
-    def reassemble(self) -> BitMatrix:
-        bottom_words = [
-            iw | (bw << self.ident.cols) | (aw << (self.ident.cols + self.b.cols))
-            for iw, bw, aw in zip(self.ident.bits, self.b.bits, self.a.bits)
-        ]
-        words = tuple(self.top.bits) + tuple(bottom_words)
-        return BitMatrix(
-            self.top.rows + self.ident.rows,
-            self.ident.cols + self.b.cols + self.a.cols,
-            words,
-        )
+    @property
+    def b(self) -> BitMatrix:
+        mask = (1 << self.gap) - 1
+        return BitMatrix(self.tail.rows, self.gap, tuple(w & mask for w in self.tail.bits))
+
+    @property
+    def a(self) -> BitMatrix:
+        words = tuple(w >> self.gap for w in self.tail.bits)
+        return BitMatrix(self.tail.rows, self.message_len, words)
 
 
 def partition_h(k: int, ell: int) -> Partition:
-    """Slice build_a(k, ell) into the four named blocks.
+    """fragment_a(k, ell), its tail cut after C(k+ell-2, ell-2) columns.
 
-    Requires 2 <= ell <= k-1 so that the message block is nonempty.
+    Requires 2 <= ell <= k-1 so that the message block is nonempty, and
+    checks that the blocks reassemble to build_a(k, ell).
     """
     if ell < 2:
         raise ValueError("no partition for ell < 2")
     if ell >= k:
         raise ValueError("message length is nonpositive for ell >= k")
-    h = build_a(k, ell)
-    top_rows = comb(k + ell - 2, ell - 2)
-    ident_order = comb(k + ell - 2, ell - 1)
-    g = comb(k + ell - 2, ell - 2)
-    s = comb(k + ell - 1, ell) - comb(k + ell - 1, ell - 1)
-    rows = list(range(h.rows))
-    if any(h.bits[i] >> ident_order for i in range(top_rows)):
-        raise ValueError(
-            f"top rows of build_a({k}, {ell}) are not zero past the identity block"
-        )
-    top = h.submatrix(rows[:top_rows], range(ident_order))
-    bottom = rows[top_rows:]
-    ident = h.submatrix(bottom, range(ident_order))
-    b = h.submatrix(bottom, range(ident_order, ident_order + g))
-    a = h.submatrix(bottom, range(ident_order + g, ident_order + g + s))
-    return Partition(k, ell, top, ident, b, a)
+    frag = fragment_a(k, ell)
+    part = Partition(frag.top, frag.glue, frag.tail, k, ell, comb(k + ell - 2, ell - 2))
+    if part.reassemble() != build_a(k, ell):
+        raise ValueError(f"fragment_a({k}, {ell}) does not reassemble to build_a({k}, {ell})")
+    return part
 
 
 @dataclass(frozen=True)
@@ -114,8 +96,6 @@ class Encoder:
 
     partition: Partition
     phi: BitMatrix
-    reduced: BitMatrix
-    pivots: tuple[int, ...]
     particular: tuple[int, ...]
     generator: tuple[int, ...]
 
@@ -130,9 +110,9 @@ def make_encoder(k: int, ell: int) -> Encoder:
 
 
 def encoder_from_partition(part: Partition) -> Encoder:
-    k, ell = part.k, part.ell
-    phi = gf2_mul(part.top, part.b)
-    rhs = gf2_mul(part.top, part.a)
+    b, a = part.b, part.a
+    phi = gf2_mul(part.top, b)
+    rhs = gf2_mul(part.top, a)
     g, s = part.gap, part.message_len
     basis = gf2_basis(pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits))
     # a member whose lowest bit is a message bit is zero on the gap columns
@@ -140,25 +120,20 @@ def encoder_from_partition(part: Partition) -> Encoder:
     # message without a solution
     bad = min((low for low in basis if low >> g), default=0)
     if bad:
-        raise GapSystemInconsistent(k, ell, bad.bit_length() - 1 - g)
-    rows = gf2_rref(basis)
-    pivots = tuple((w & -w).bit_length() - 1 for w in rows)
+        raise GapSystemInconsistent(part.k, part.ell, bad.bit_length() - 1 - g)
     # row c of the tails holds pivot c's value across all basis messages
     tails = [0] * g
-    for c, w in zip(pivots, rows):
-        tails[c] = w >> g
+    for w in gf2_rref(basis):
+        tails[(w & -w).bit_length() - 1] = w >> g
     particular = BitMatrix(g, s, tuple(tails)).transpose()
-    mask = (1 << g) - 1
-    padding = (0,) * (phi.rows - len(rows))
-    reduced = BitMatrix(phi.rows, g, tuple(w & mask for w in rows) + padding)
     # row j: (B·p1 + A·e_j | p1 | e_j) for p1 = particular row j
-    n2 = part.ident.cols
-    p2 = gf2_mul(particular, part.b.transpose()).xor(part.a.transpose())
+    n2 = part.glue.cols
+    p2 = gf2_mul(particular, b.transpose()).xor(a.transpose())
     generator = tuple(
         p2w | p1w << n2 | 1 << (n2 + g + j)
         for j, (p2w, p1w) in enumerate(zip(p2.bits, particular.bits))
     )
-    return Encoder(part, phi, reduced, pivots, particular.bits, generator)
+    return Encoder(part, phi, particular.bits, generator)
 
 
 def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
@@ -168,7 +143,7 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
-    n = part.ident.cols + part.gap + part.message_len
+    n = part.glue.cols + part.tail.cols
     return unpack_bits(gf2_vecmat(pack_bits(message), enc.generator), n)
 
 

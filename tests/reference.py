@@ -4,13 +4,15 @@ Each function walks rows one bit (or, for the ranks, one list entry) at a
 time, the plain way, so that the fast kernels in ``altmat`` can be checked
 against it: the alist and MatrixMarket codecs set one entry at a time, and
 ``encode_by_parts`` solves for the parity parts of each codeword instead of
-XOR-ing generator rows. None of this is used by the library.
+XOR-ing generator rows, and ``gleason_fit`` row-reduces over the rationals
+instead of substituting forward. None of this is used by the library.
 """
 
 from fractions import Fraction
 
 from altmat import BitMatrix
 from altmat.bitmatrix import gf2_matvec, gf2_vecmat, pack_bits, unpack_bits
+from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
 from altmat.formats import MM_HEADER, MatrixParseError
 
@@ -126,7 +128,7 @@ def gf2_solve(a, rhs):
 
 
 def encoder_fields(part):
-    """(reduced rows, pivots, particular) of the gap system, or the exception."""
+    """(particular, generator rows) of the gap encoder, or the exception."""
     phi = gf2_mul(part.top, part.b)
     rhs = gf2_mul(part.top, part.a)
     g, s = part.gap, part.message_len
@@ -146,8 +148,15 @@ def encoder_fields(part):
                 particular[i] |= 1 << c
             tail >>= 1
             i += 1
-    mask = (1 << g) - 1
-    return tuple(w & mask for w in words), tuple(pivots), tuple(particular)
+    # generator row j: (B·p1 + A·e_j | p1 | e_j), one parity bit at a time
+    n2 = part.glue.cols
+    generator = []
+    for j, p1 in enumerate(particular):
+        p2 = 0
+        for i, (bw, aw) in enumerate(zip(part.b.bits, part.a.bits)):
+            p2 |= (((bw & p1).bit_count() + (aw >> j)) & 1) << i
+        generator.append(p2 | p1 << n2 | 1 << (n2 + g + j))
+    return tuple(particular), tuple(generator)
 
 
 def encode(enc, message):
@@ -164,7 +173,7 @@ def encode(enc, message):
     for i, w in enumerate(part.a.bits):
         p2 ^= ((w & s_word).bit_count() & 1) << i
     out = []
-    out.extend((p2 >> i) & 1 for i in range(part.ident.cols))
+    out.extend((p2 >> i) & 1 for i in range(part.glue.cols))
     out.extend((p1 >> i) & 1 for i in range(part.gap))
     out.extend((s_word >> i) & 1 for i in range(part.message_len))
     return tuple(out)
@@ -219,6 +228,55 @@ def rank_by_fractions(m):
     return rank
 
 
+# the Gleason fit by general rational RREF, against the library's forward substitution
+def gleason_fit(w: WeightEnumerator, n0: int) -> GleasonFit:
+    """Integer coefficients a_i with W = sum a_i g1^(n0-4i) g2^i, if they exist.
+
+    Only g1^n0 has an x^0 term, so a0 always equals the weight-0 count.
+    The basis polynomials are linearly independent, so the candidate
+    solution is unique; exact means zero residual with integer a_i. On
+    failure the residual is taken against the nearest integer vector.
+    """
+    if w.length != 2 * n0:
+        raise ValueError("enumerator length must be 2*n0")
+    terms = n0 // 4 + 1
+    basis = [_poly_mul(_poly_pow(G1, n0 - 4 * i), _poly_pow(G2, i)) for i in range(terms)]
+    target = [0] * (2 * n0 + 1)
+    for wt, c in w.coeffs:
+        target[wt] = c
+    rows = [[Fraction(basis[i].get(wt, 0)) for i in range(terms)] + [Fraction(target[wt])]
+            for wt in range(2 * n0 + 1)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(terms):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    sol = [Fraction(0)] * terms
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][-1]
+    consistent = all(row[-1] == 0 for row in rows[r:])
+    integral = all(x.denominator == 1 for x in sol)
+    if consistent and integral:
+        return GleasonFit(tuple(int(x) for x in sol), True, None)
+    rounded = [round(x) for x in sol]
+    residual = []
+    for wt in range(2 * n0 + 1):
+        val = target[wt] - sum(rounded[i] * basis[i].get(wt, 0) for i in range(terms))
+        if val:
+            residual.append((wt, int(val)))
+    return GleasonFit((), False, tuple(residual))
+
+
 def rank_mod(m, p):
     """Gaussian elimination over the integers mod p on lists, column by column."""
     rows = m.to_lists()
@@ -243,7 +301,7 @@ def encode_by_parts(enc, message):
     s_word = pack_bits(message)
     p1 = gf2_vecmat(s_word, enc.particular)
     p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
-    n2, g = part.ident.cols, part.gap
+    n2, g = part.glue.cols, part.gap
     return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from altmat import bitmatrix, build_a, build_b, export_matrix, import_matrix
-from altmat import cli
+from altmat import cli, codes, encoder, families, reports
 from altmat.cli import main
 
 
@@ -168,6 +168,56 @@ def test_oversized_gen_lk_and_m_are_refused_before_building(monkeypatch, capsys)
     for argv in (("lk", "--k", "5"), ("m", "--n", "5", "--report")):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 2 and out == "" and "limit of 2000 cells" in err
+
+
+def refuse_builds(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("built past the limit")
+
+    for module in (families, codes, encoder, reports):
+        for name in ("build_a", "build_b", "build_m"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_oversized_builds_are_refused_before_building(monkeypatch, capsys):
+    # within 2000 cells counted 64 wide: code --k 4 (10 x 20), encode a(4, 3)
+    # (15 x 20), decompose --n 4 (28 x 70) and the 3 x 3 grid's a(3, 3) (10 x 10);
+    # past it: code --k 5 (35 x 70), a(6, 4) (84 x 126), build_m(5) (120 x 252)
+    # and a(4, 4) (35 x 35)
+    monkeypatch.setattr(bitmatrix, "MAX_CELLS", 2000)
+    within = [
+        ("code", "gen", "--k", "4"),
+        ("code", "weights", "--k", "4"),
+        ("encode", "--k", "4", "--l", "3", "--message", "10110"),
+        ("decompose", "--n", "4"),
+        ("verify", "--grid", "3", "3"),
+    ]
+    for argv in within:
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    refuse_builds(monkeypatch)
+    past = [
+        ("code", "gen", "--k", "5"),
+        ("code", "isodual", "--k", "5", "--variant", "dense"),
+        ("encode", "--k", "6", "--l", "4", "--message", "1"),
+        ("decompose", "--n", "5", "--skip-rank"),
+        ("verify", "--grid", "4", "4"),
+    ]
+    for argv in past:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "limit of 2000 cells" in err, argv
+
+
+def test_invalid_parameters_keep_their_messages(capsys):
+    for argv, message in [
+        (("code", "gen", "--k", "2"), "need k >= 3"),
+        (("encode", "--k", "3", "--l", "1", "--message", "1"), "no partition for ell < 2"),
+        (("encode", "--k", "0", "--l", "2", "--message", "1"), "nonpositive for ell >= k"),
+        (("decompose", "--n", "3"), "need n >= 4"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err, argv
 
 
 def test_oversized_import_header_is_a_parse_error(monkeypatch, tmp_path, capsys):

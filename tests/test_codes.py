@@ -4,6 +4,7 @@ from altmat import codes, reports
 from altmat import (
     BitMatrix,
     CodePair,
+    GleasonFit,
     WeightEnumerator,
     ZeroCodeError,
     distance_bound,
@@ -202,6 +203,12 @@ def test_fit_k4_sparse_is_exact_with_unit_leading_coefficient():
     assert len(fit.a) == 10 // 4 + 1 == 3
     assert fit.a[0] == 1
     assert fit.a == (1, -10, 10)
+
+
+def test_fit_k3_sparse_leaves_the_odd_weights_as_residual():
+    # W = y^6 + 4 x^3 y^3 + 3 x^4 y^2 against a0 = 1 times g1^3
+    fit = gleason_fit(weight_enumerator(make_code(3, "sparse")), 3)
+    assert fit == GleasonFit((), False, ((2, -3), (3, 4), (6, -1)))
 
 
 def test_fit_failure_reports_a_residual():

@@ -4,6 +4,7 @@ Shapes cover small matrices, 1 x n and n x 1, all-zero and all-ones rows,
 rows wider than 64 and 128 bits, and pivots past bit 64.
 """
 
+import random
 import tracemalloc
 
 import pytest
@@ -14,10 +15,14 @@ import reference
 from altmat import (
     BitMatrix,
     CodePair,
+    GleasonFit,
+    WeightEnumerator,
     build_a,
     build_b,
+    compose,
     export_matrix,
     flip_transpose,
+    gleason_fit,
     gf2_matvec,
     gf2_mul,
     gf2_rank,
@@ -28,6 +33,7 @@ from altmat import (
     verify_codeword,
 )
 from altmat.bitmatrix import gf2_basis, gf2_rref, unpack_bits
+from altmat.codes import G1, G2, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent, Partition, encode, encoder_from_partition
 from altmat.reports import ENCODER_GRID
 from conftest import bit_matrices, random_matrix
@@ -203,20 +209,17 @@ def test_gf2_solve_matches_reference(m, data):
 @pytest.mark.parametrize("k,ell", ENCODER_GRID + ((7, 5),))
 def test_encoder_matches_reference(k, ell):
     enc = make_encoder(k, ell)
-    reduced, pivots, particular = reference.encoder_fields(enc.partition)
-    assert enc.reduced.bits == reduced
-    assert enc.pivots == pivots
-    assert enc.particular == particular
+    assert (enc.particular, enc.generator) == reference.encoder_fields(enc.partition)
 
 
 @st.composite
 def gap_partitions(draw):
-    """Random blocks [[top, 0, 0], [ident, b, a]]; most gap systems are inconsistent."""
+    """Random blocks [[top, 0, 0], [glue, b, a]]; most gap systems are inconsistent."""
     r = draw(st.integers(1, 8))
     top = draw(bit_matrices(max_rows=8, min_cols=r, max_cols=r))
     b = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
     a = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
-    return Partition(0, 0, top, BitMatrix.identity(r), b, a)
+    return Partition(top, BitMatrix.identity(r), compose([b, a]), 0, 0, b.cols)
 
 
 @settings(max_examples=50)
@@ -229,7 +232,7 @@ def test_gap_solver_matches_reference(part):
         assert exc.value.basis_index == expected.basis_index
     else:
         enc = encoder_from_partition(part)
-        assert (enc.reduced.bits, enc.pivots, enc.particular) == expected
+        assert (enc.particular, enc.generator) == expected
 
 
 @settings(max_examples=50)
@@ -279,3 +282,28 @@ def test_isodual_witness_matches_reference(code):
     assert wit.ok == (ranks == {code.n0})
     expected = None if wit.ok else reference.isodual_counterexample(code.generator, permuted)
     assert wit.counterexample == expected
+
+
+def gleason_combination(n0, a):
+    """Coefficients by x-degree of sum a_i g1^(n0-4i) g2^i."""
+    counts = [0] * (2 * n0 + 1)
+    for i, ai in enumerate(a):
+        for wt, c in _poly_mul(_poly_pow(G1, n0 - 4 * i), _poly_pow(G2, i)).items():
+            counts[wt] += ai * c
+    return counts
+
+
+@pytest.mark.parametrize("n0", range(1, 17))
+def test_gleason_fit_matches_rational_rref(n0):
+    rng = random.Random(n0)
+    for _ in range(20):
+        a = [rng.randint(-50, 50) for _ in range(n0 // 4 + 1)]
+        exact = gleason_combination(n0, a)
+        off = list(exact)
+        off[rng.randrange(2 * n0 + 1)] += rng.choice((-1, 1))
+        histogram = [rng.randrange(100) for _ in range(2 * n0 + 1)]
+        for counts in (exact, off, histogram):
+            w = WeightEnumerator(2 * n0, tuple((wt, c) for wt, c in enumerate(counts) if c))
+            assert gleason_fit(w, n0) == reference.gleason_fit(w, n0)
+        w = WeightEnumerator(2 * n0, tuple((wt, c) for wt, c in enumerate(exact) if c))
+        assert gleason_fit(w, n0) == GleasonFit(tuple(a), True, None)

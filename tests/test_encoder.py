@@ -23,7 +23,7 @@ GRID = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4)]
 def test_partition_32_hand_values():
     p = partition_h(3, 2)
     assert p.top == BitMatrix.ones(1, 3)
-    assert p.ident == BitMatrix.identity(3)
+    assert p.glue == BitMatrix.identity(3)
     assert p.b == BitMatrix.from_rows([[1], [1], [0]])
     assert p.a == BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
     assert p.gap == 1
@@ -51,7 +51,7 @@ def test_partition_reassembles_bit_exactly(k, ell):
     # the rows above the identity block vanish beyond its column range
     h = build_a(k, ell)
     for i in range(p.top.rows):
-        assert h.bits[i] >> p.ident.cols == 0
+        assert h.bits[i] >> p.glue.cols == 0
 
 
 def test_partition_rejects_bad_parameters():
@@ -158,12 +158,12 @@ def test_inconsistent_gap_system_is_reported_with_an_index():
     from altmat.encoder import Partition, encoder_from_partition
 
     part = Partition(
+        top=BitMatrix.identity(2),
+        glue=BitMatrix.identity(2),
+        tail=BitMatrix.from_rows([[1, 0], [0, 1]]),  # b = [[1], [0]], a = [[0], [1]]
         k=0,
         ell=0,
-        top=BitMatrix.identity(2),
-        ident=BitMatrix.identity(2),
-        b=BitMatrix.from_rows([[1], [0]]),
-        a=BitMatrix.from_rows([[0], [1]]),
+        gap=1,
     )
     with pytest.raises(GapSystemInconsistent) as exc:
         encoder_from_partition(part)
