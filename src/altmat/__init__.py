@@ -33,6 +33,7 @@ from .encoder import (
     encode,
     make_encoder,
     partition_h,
+    split_sizes,
     verify_codeword,
 )
 from .families import Fragmentation, build_a, build_b, dims_of, fragment_a
@@ -43,6 +44,7 @@ from .incidence import (
     build_l_oracle,
     build_m,
     decompose_blocks,
+    inclusion_matrix,
     index_set,
     permutation_equivalent,
     symplectic_pairs,

@@ -15,7 +15,13 @@ from math import comb
 from . import bitmatrix
 from .bitmatrix import BitMatrix
 from .codes import make_code
-from .encoder import GapSystemInconsistent, encode, make_encoder, verify_codeword
+from .encoder import (
+    GapSystemInconsistent,
+    encode,
+    make_encoder,
+    split_sizes,
+    verify_codeword,
+)
 from .families import build_a, build_b, dims_of
 from .formats import FORMATS, MatrixParseError, export_matrix, import_matrix
 from .incidence import build_l_oracle, build_m, l_oracle_dims, m_dims
@@ -172,8 +178,10 @@ def _cmd_encode(args) -> int:
     if any(ch not in "01" for ch in args.message) or not args.message:
         raise ValueError("--message must be a nonempty string of 0/1 characters")
     message = tuple(int(ch) for ch in args.message)
-    if 2 <= args.l < args.k:  # other (k, l) are left to partition_h's own errors
-        _check_size(f"encode --k {args.k} --l {args.l}", dims_of(args.k, args.l))
+    _, message_len = split_sizes(args.k, args.l)
+    _check_size(f"encode --k {args.k} --l {args.l}", dims_of(args.k, args.l))
+    if len(message) != message_len:
+        raise ValueError(f"message must have length {message_len}, got {len(message)}")
     enc = make_encoder(args.k, args.l)
     word = encode(enc, message)
     report = {

@@ -73,18 +73,27 @@ class Partition(Fragmentation):
         return BitMatrix(self.tail.rows, self.message_len, words)
 
 
-def partition_h(k: int, ell: int) -> Partition:
-    """fragment_a(k, ell), its tail cut after C(k+ell-2, ell-2) columns.
+def split_sizes(k: int, ell: int) -> tuple[int, int]:
+    """(gap, message_len) of the split: (g, C(k+ell-2, ell) - g), g = C(k+ell-2, ell-2).
 
-    Requires 2 <= ell <= k-1 so that the message block is nonempty, and
-    checks that the blocks reassemble to build_a(k, ell).
+    Requires 2 <= ell <= k-1 so that the message block is nonempty.
     """
     if ell < 2:
         raise ValueError("no partition for ell < 2")
     if ell >= k:
         raise ValueError("message length is nonpositive for ell >= k")
+    gap = comb(k + ell - 2, ell - 2)
+    return gap, comb(k + ell - 2, ell) - gap
+
+
+def partition_h(k: int, ell: int) -> Partition:
+    """fragment_a(k, ell), its tail cut after split_sizes(k, ell)'s gap.
+
+    Checks that the blocks reassemble to build_a(k, ell).
+    """
+    gap, _ = split_sizes(k, ell)
     frag = fragment_a(k, ell)
-    part = Partition(frag.top, frag.glue, frag.tail, k, ell, comb(k + ell - 2, ell - 2))
+    part = Partition(frag.top, frag.glue, frag.tail, k, ell, gap)
     if part.reassemble() != build_a(k, ell):
         raise ValueError(f"fragment_a({k}, {ell}) does not reassemble to build_a({k}, {ell})")
     return part

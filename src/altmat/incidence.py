@@ -1,11 +1,19 @@
 """Index-tuple combinatorics, subset-inclusion matrices, and block decomposition.
 
-``build_l_oracle(k)`` realizes the inclusion matrix of (k-2)-subsets into
-(k-1)-subsets of a (2k-2)-set, which is an independent route to the sparse
-family member build_a(k, k-1). ``build_m(n)`` is the larger incidence matrix
-over index tuples of {1..2n} whose rows extend a tuple by one disjoint
-complementary pair {i, 2n-i+1}; ``decompose_blocks`` splits it into connected
-components and identifies each against the small inclusion matrices.
+``inclusion_matrix(t, v)`` maps the t-subsets of {1..v} into its
+(t+1)-subsets, both in lexicographic order; ``build_a(k, ell)`` equals
+``inclusion_matrix(ell-1, k+ell-1)`` bit for bit, and ``build_l_oracle(k)``
+is the case ell = k-1, an independent route to that family member.
+``build_m(n)`` is the larger incidence matrix over index tuples of {1..2n}
+whose rows extend a tuple by one disjoint complementary pair {i, 2n-i+1}.
+
+``decompose_blocks`` splits any matrix into the connected components of its
+row-column graph and identifies each against ``build_a(j, j-1)``. For
+``build_m(n)`` every component, rows and columns kept in index order, is
+that matrix bit for bit (the component's tuples share their unpaired
+elements, and index order is then the order of their full pairs), so bit
+equality certifies it; the permutation-equivalence search runs only for a
+component where that identity fails, as on a permuted input.
 """
 
 from __future__ import annotations
@@ -45,26 +53,38 @@ def m_dims(n: int) -> tuple[int, int]:
     return comb(2 * n, n - 2), comb(2 * n, n)
 
 
+def inclusion_matrix(t: int, v: int) -> BitMatrix:
+    """Inclusion matrix of the t-subsets into the (t+1)-subsets of {1..v}.
+
+    Rows and columns are in lexicographic order; entry 1 iff the row subset
+    is contained in the column subset. Every row has weight v-t and every
+    column weight t+1.
+    """
+    if t < 0 or t + 1 > v:
+        raise ValueError("need 0 <= t < v")
+    cols = list(combinations(range(1, v + 1), t + 1))
+    col_pos = {c: i for i, c in enumerate(cols)}
+    words = []
+    for s in combinations(range(1, v + 1), t):
+        word = 0
+        in_s = set(s)
+        for x in range(1, v + 1):
+            if x not in in_s:
+                word |= 1 << col_pos[tuple(sorted(s + (x,)))]
+        words.append(word)
+    return BitMatrix(len(words), len(cols), tuple(words))
+
+
 def build_l_oracle(k: int) -> BitMatrix:
     """Inclusion matrix of (k-2)- into (k-1)-subsets of a (2k-2)-set.
 
     Rows and columns are in lexicographic order; entry 1 iff the row subset
     is contained in the column subset. Every row has weight k, every column
-    weight k-1, and all rows are distinct.
+    weight k-1, and all rows are distinct. Its order is l_oracle_dims(k).
     """
-    rows, ncols = l_oracle_dims(k)
-    m = 2 * k - 2
-    cols = list(combinations(range(1, m + 1), k - 1))
-    col_pos = {c: t for t, c in enumerate(cols)}
-    words = []
-    for s in combinations(range(1, m + 1), k - 2):
-        word = 0
-        in_s = set(s)
-        for x in range(1, m + 1):
-            if x not in in_s:
-                word |= 1 << col_pos[tuple(sorted(s + (x,)))]
-        words.append(word)
-    return BitMatrix(rows, ncols, tuple(words))
+    if k < 2:
+        raise ValueError("need k >= 2")
+    return inclusion_matrix(k - 2, 2 * k - 2)
 
 
 def build_m(n: int) -> BitMatrix:
@@ -221,8 +241,10 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
     """Connected components of the row-column incidence graph, identified.
 
     Each component's submatrix (rows and columns kept in index order) is
-    tested for permutation equivalence against the inclusion matrices of
-    matching dimensions; zero columns are tallied separately.
+    compared with the inclusion matrix build_a(j, j-1) of matching
+    dimensions: bit equality identifies it by the identity permutations, and
+    only otherwise does the permutation-equivalence search run. Zero columns
+    are tallied separately.
     """
     row_adj, col_adj = _adjacency(m)
     report = BlockReport()
@@ -257,9 +279,11 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
             continue
         sub = m.submatrix(comp_rows, comp_cols)
         j = _candidate_order(sub.rows, sub.cols)
-        if j is not None and permutation_equivalent(sub, build_a(j, j - 1)):
+        cand = None if j is None else build_a(j, j - 1)
+        if cand is not None and (sub == cand or permutation_equivalent(sub, cand)):
             labels[f"L_{j}"] += 1
         else:
             report.unidentified += 1
     report.blocks = dict(sorted(labels.items()))
     return report
+

@@ -209,6 +209,19 @@ def test_oversized_builds_are_refused_before_building(monkeypatch, capsys):
         assert code == 2 and out == "" and "limit of 2000 cells" in err, argv
 
 
+def test_wrong_length_message_is_refused_before_building(monkeypatch, capsys):
+    # a(4, 3) has message length C(5, 3) - C(5, 1) = 5
+    def refuse(*_):
+        raise AssertionError("built for a message of the wrong length")
+
+    monkeypatch.setattr(cli, "make_encoder", refuse)
+    refuse_builds(monkeypatch)
+    for message in ("1011", "101101"):
+        code, out, err = run(capsys, "encode", "--k", "4", "--l", "3", "--message", message)
+        assert code == 2 and out == ""
+        assert f"message must have length 5, got {len(message)}" in err
+
+
 def test_invalid_parameters_keep_their_messages(capsys):
     for argv, message in [
         (("code", "gen", "--k", "2"), "need k >= 3"),

@@ -14,8 +14,10 @@ from altmat import (
     gf2_matvec,
     make_encoder,
     partition_h,
+    split_sizes,
     verify_codeword,
 )
+from altmat.reports import ENCODER_GRID
 
 GRID = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4)]
 
@@ -52,6 +54,19 @@ def test_partition_reassembles_bit_exactly(k, ell):
     h = build_a(k, ell)
     for i in range(p.top.rows):
         assert h.bits[i] >> p.glue.cols == 0
+
+
+@pytest.mark.parametrize("k,ell", ENCODER_GRID)
+def test_split_sizes_are_the_partition_sizes(k, ell):
+    p = partition_h(k, ell)
+    assert split_sizes(k, ell) == (p.gap, p.message_len)
+
+
+def test_split_sizes_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="no partition for ell < 2"):
+        split_sizes(3, 1)
+    with pytest.raises(ValueError, match="nonpositive for ell >= k"):
+        split_sizes(3, 3)
 
 
 def test_partition_rejects_bad_parameters():

@@ -24,6 +24,9 @@ FULL_REPORT_SHA256 = "fcef9f89b868b1b1028a6e126800989d1daf24f116df25a39fa31ef34a
 DECOMPOSE_SHA256 = {
     6: "731aeee171e045b75496505f8e2539c6fb911dce974056a63413976b8d668537",
     7: "bb6ce3c3dbf5382203a7a448fb241e94534e6097ca6f550b7b89d76f754e6834",
+    # the largest build_m under MAX_CELLS, pinned from the permutation search
+    # and a whole-matrix exact_rank
+    8: "a261cea97ebf5e078b0422116458f16b538b6381d7113471008786f11b4be001",
 }
 
 
@@ -43,7 +46,12 @@ def test_decompose_report_is_byte_identical(n):
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == DECOMPOSE_SHA256[n]
     # the components are row- and column-disjoint, so the rank is the sum of
-    # the block ranks: 240*1 + 60*4 + 1*15 = 495 and 672*1 + 280*4 + 14*15 = 2002
+    # the block ranks: 240*1 + 60*4 + 1*15 = 495, 672*1 + 280*4 + 14*15 = 2002
+    # and 1792*1 + 1120*4 + 112*15 + 1*56 = 8008. decompose_report
+    # computes its rank as that sum once every block is identified, so the
+    # check below only restates it; the digests, computed with a whole-matrix
+    # exact_rank, pin the rank, and test_block_rank_sum_is_the_rank compares
+    # the sum with exact_rank(build_m(n)) for n <= 7.
     assert report["unidentified"] == 0
     block_sum = sum(
         copies * exact_rank(build_l_oracle(int(name[2:])))

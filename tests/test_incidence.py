@@ -16,10 +16,13 @@ from altmat import (
     exact_rank,
     flip_transpose,
     fragment_a,
+    inclusion_matrix,
     index_set,
     permutation_equivalent,
     symplectic_pairs,
 )
+from altmat import incidence
+from altmat.incidence import l_oracle_dims
 
 
 def test_index_set_hand_values():
@@ -82,6 +85,34 @@ def test_oracle_rows_are_distinct_and_counted(k):
 def test_oracle_rejects_small_k():
     with pytest.raises(ValueError):
         build_l_oracle(1)
+
+
+def test_inclusion_matrix_hand_values():
+    # 1-subsets of {1, 2, 3} into the 2-subsets (1,2), (1,3), (2,3)
+    assert inclusion_matrix(1, 3) == BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert inclusion_matrix(0, 4) == BitMatrix.ones(1, 4)
+    assert inclusion_matrix(2, 3) == BitMatrix.ones(3, 1)
+
+
+def test_inclusion_matrix_rejects_bad_parameters():
+    for t, v in [(-1, 3), (3, 3), (0, 0)]:
+        with pytest.raises(ValueError):
+            inclusion_matrix(t, v)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_family_is_the_lexicographic_inclusion_matrix(k, ell):
+    w = inclusion_matrix(ell - 1, k + ell - 1)
+    assert build_a(k, ell) == w
+    assert build_b(k, ell) == w.complement()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_oracle_is_the_family_member_bit_for_bit(k):
+    oracle = build_l_oracle(k)
+    assert (oracle.rows, oracle.cols) == l_oracle_dims(k)
+    assert oracle == build_a(k, k - 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -256,3 +287,50 @@ def test_decompose_row_and_column_totals_reconcile():
     cols = sum(sizes[lbl][1] * cnt for lbl, cnt in rep.blocks.items())
     assert rows == m.rows
     assert cols + rep.zero_columns == m.cols
+
+
+# -- the identity shortcut ----------------------------------------------------------
+
+
+def count_searches(monkeypatch):
+    """Record decompose_blocks' calls to the permutation search."""
+    calls = []
+    real = incidence.permutation_equivalent
+
+    def wrapper(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(incidence, "permutation_equivalent", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_build_m_components_are_the_blocks_bit_for_bit(monkeypatch, n):
+    calls = count_searches(monkeypatch)
+    rep = decompose_blocks(build_m(n))
+    assert rep.unidentified == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_permuted_build_m_is_identified_by_the_search(monkeypatch, n):
+    m = build_m(n)
+    rng = random.Random(n)
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    calls = count_searches(monkeypatch)
+    assert decompose_blocks(m.submatrix(rows, cols)) == decompose_blocks(m)
+    assert calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_block_rank_sum_is_the_rank(n):
+    m = build_m(n)
+    rep = decompose_blocks(m)
+    block_sum = 0
+    for name, copies in rep.blocks.items():
+        j = int(name[2:])
+        block_sum += copies * exact_rank(build_a(j, j - 1))
+    assert block_sum == exact_rank(m)
