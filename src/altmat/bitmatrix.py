@@ -16,6 +16,18 @@ sparse row and reading a dense row's reversed numeral with
 ``column_supports`` gathers the same lists per column from the row
 supports.
 
+A matrix-vector product over GF(2) is a table lookup, the method of four
+Russians: ``xor_tables`` holds, for each run of 4 rows, the XOR of every
+subset of them, 16 entries per 4 rows (for build_a(7, 5)'s 462 columns of
+330 bits, about 122 KiB against 18.6 KiB of packed rows), and
+``xor_lookup`` XORs one entry per hex digit of the vector. ``gf2_matvec``
+reads the tables of A's columns, which a ``BitMatrix`` builds on first use
+(``column_tables``) and holds until it is freed; no module-level cache
+keeps them, so clearing ``build_a``'s cache drops them with the matrix.
+``gf2_mul`` still XORs rows one set bit at a time (``gf2_vecmat``): each
+left operand is used once and is often sparse, and building tables would
+cost more than it saves.
+
 GF(2) elimination has one kernel, ``gf2_basis``: each row is reduced by the
 basis member that owns its lowest set bit until it vanishes or owns a new
 lowest bit. Rank, span membership and codeword enumeration read that basis
@@ -38,12 +50,14 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter, xor
 from typing import Iterable, Sequence
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 # Desk-scale limit on the cells of a matrix read from a file or generated on
 # request, checked (by ``within_limit``) before anything that size is
@@ -65,6 +79,17 @@ def within_limit(rows: int, cols: int) -> bool:
 
 def pack_bits(bits: Sequence[int]) -> int:
     """Packed int with bit i = bits[i]; every entry must be 0 or 1."""
+    # bytes() of an int n is n zero bytes, so an int must fail len() before
+    # it gets there; bytes() of a buffer is its memory, one byte per entry
+    # only when its items are bytes
+    try:
+        n = len(bits)
+        raw = bytes(bits)
+    except (TypeError, ValueError):
+        n, raw = -1, b""
+    if len(raw) == n and not raw.translate(None, b"\x00\x01"):
+        return int(raw[::-1].translate(_BIT_CHARS) or b"0", 2)
+    # anything else is checked entry by entry, to name the first bad one
     if not set(bits) <= {0, 1}:
         bad = next(e for e in bits if e not in (0, 1))
         raise ValueError(f"entry {bad!r} is not a bit")
@@ -331,6 +356,11 @@ class BitMatrix:
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.bits)
 
+    @cached_property
+    def column_tables(self) -> tuple[tuple[int, ...], ...]:
+        """``xor_tables`` of the columns, built on first use, freed with the matrix."""
+        return xor_tables(_transpose_words(self.bits, self.cols))
+
 
 # -- block composition -------------------------------------------------------
 
@@ -405,12 +435,39 @@ def gf2_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, b.cols, tuple(gf2_vecmat(w, b.bits) for w in a.bits))
 
 
+def xor_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Subset-XOR tables of rows, one per run of 4 (the method of four Russians).
+
+    Entry v of table t is the XOR of rows[4t + b] over the set bits b of v,
+    so a table has 16 entries, or 2^r for a last run of r < 4 rows. Each is
+    built by doubling: the entries so far, then each of them XOR the next row.
+    """
+    tables = []
+    for start in range(0, len(rows), 4):
+        t = [0]
+        for r in rows[start : start + 4]:
+            t += [w ^ r for w in t]
+        tables.append(tuple(t))
+    return tuple(tables)
+
+
+def xor_lookup(tables: Sequence[Sequence[int]], x_word: int) -> int:
+    """x·M over GF(2) for the rows M that ``xor_tables`` was given.
+
+    One table entry per hex digit of x, lowest digit first; x must be
+    non-negative with no bit past the last row.
+    """
+    nibbles = format(x_word, f"0{len(tables)}x")[::-1].encode().translate(_NIBBLES)
+    return reduce(xor, map(getitem, tables, nibbles), 0)
+
+
 def gf2_matvec(a: BitMatrix, x_word: int) -> int:
-    """A·x over GF(2) with x packed as an int; returns the packed result."""
-    out = 0
-    for i, w in enumerate(a.bits):
-        out |= ((w & x_word).bit_count() & 1) << i
-    return out
+    """A·x over GF(2) with x packed as an int; returns the packed result.
+
+    A·x is the XOR of the columns of A that x selects, looked up in the
+    column tables held on A; bits of x past ``a.cols`` are ignored.
+    """
+    return xor_lookup(a.column_tables, x_word & ((1 << a.cols) - 1))
 
 
 def gf2_reduce(basis: dict[int, int], word: int) -> int:

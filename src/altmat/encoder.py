@@ -15,7 +15,9 @@ Encoding is linear, so the encoder also keeps the generator rows: row j is
 the codeword of unit message j, (B·p1 + A·e_j | p1 | e_j) with p1 the
 particular solution for e_j. They are built in bulk as
 (particular · Bᵀ + Aᵀ | particular | I), and a codeword is the XOR of the
-rows its message selects.
+rows its message selects, read from the generator's subset-XOR tables one
+lookup per four message bits. Verification is the same kind of lookup,
+build_a(k, ell) · x from the column tables held on the cached matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .bitmatrix import (
     gf2_matvec,
     gf2_mul,
     gf2_rref,
-    gf2_vecmat,
     pack_bits,
     unpack_bits,
+    xor_lookup,
+    xor_tables,
 )
 from .families import Fragmentation, build_a, fragment_a
 
@@ -101,12 +104,17 @@ def partition_h(k: int, ell: int) -> Partition:
 
 @dataclass(frozen=True)
 class Encoder:
-    """Precomputed gap solver: immutable and safe to share across threads."""
+    """Precomputed gap solver: immutable and safe to share across threads.
+
+    ``generator_tables`` are ``xor_tables(generator)``, from which ``encode``
+    reads a codeword by table lookup.
+    """
 
     partition: Partition
     phi: BitMatrix
     particular: tuple[int, ...]
     generator: tuple[int, ...]
+    generator_tables: tuple[tuple[int, ...], ...]
 
 
 def make_encoder(k: int, ell: int) -> Encoder:
@@ -142,18 +150,22 @@ def encoder_from_partition(part: Partition) -> Encoder:
         p2w | p1w << n2 | 1 << (n2 + g + j)
         for j, (p2w, p1w) in enumerate(zip(p2.bits, particular.bits))
     )
-    return Encoder(part, phi, particular.bits, generator)
+    return Encoder(part, phi, particular.bits, generator, xor_tables(generator))
 
 
 def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
-    """Codeword (p2 | p1 | message) with build_a(k, ell) · x = 0 over GF(2)."""
+    """Codeword (p2 | p1 | message) with build_a(k, ell) · x = 0 over GF(2).
+
+    The XOR of the generator rows the message selects, as one lookup in the
+    encoder's generator tables.
+    """
     part = enc.partition
     if len(message) != part.message_len:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
     n = part.glue.cols + part.tail.cols
-    return unpack_bits(gf2_vecmat(pack_bits(message), enc.generator), n)
+    return unpack_bits(xor_lookup(enc.generator_tables, pack_bits(message)), n)
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:

@@ -277,7 +277,11 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
         if not comp_cols:
             report.unidentified += 1
             continue
-        sub = m.submatrix(comp_rows, comp_cols)
+        # the component's rows, renumbered to its own columns, from the
+        # supports already in hand
+        pos = {c: t for t, c in enumerate(comp_cols)}
+        words = tuple(sum(1 << pos[c] for c in row_adj[i]) for i in comp_rows)
+        sub = BitMatrix(len(comp_rows), len(comp_cols), words)
         j = _candidate_order(sub.rows, sub.cols)
         cand = None if j is None else build_a(j, j - 1)
         if cand is not None and (sub == cand or permutation_equivalent(sub, cand)):

@@ -2,16 +2,18 @@
 
 Each function walks rows one bit (or, for the ranks, one list entry) at a
 time, the plain way, so that the fast kernels in ``altmat`` can be checked
-against it: the alist and MatrixMarket codecs set one entry at a time, and
-``encode_by_parts`` solves for the parity parts of each codeword instead of
-XOR-ing generator rows, and ``gleason_fit`` row-reduces over the rationals
-instead of substituting forward. None of this is used by the library.
+against it: the alist and MatrixMarket codecs set one entry at a time,
+``gf2_matvec`` takes one parity bit per row instead of looking columns up in
+subset-XOR tables, ``encode_by_parts`` solves for the parity parts of each
+codeword with it instead of XOR-ing generator rows, and ``gleason_fit``
+row-reduces over the rationals instead of substituting forward. None of this
+is used by the library.
 """
 
 from fractions import Fraction
 
 from altmat import BitMatrix
-from altmat.bitmatrix import gf2_matvec, gf2_vecmat, pack_bits, unpack_bits
+from altmat.bitmatrix import gf2_vecmat, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
 from altmat.formats import MM_HEADER, MatrixParseError
@@ -87,6 +89,14 @@ def gf2_mul(a, b):
             j += 1
         words.append(acc)
     return BitMatrix(a.rows, b.cols, tuple(words))
+
+
+def gf2_matvec(a, x_word):
+    """A·x, one parity bit per row: the parity of row i's ones that x selects."""
+    out = 0
+    for i, w in enumerate(a.bits):
+        out |= ((w & x_word).bit_count() & 1) << i
+    return out
 
 
 def gf2_eliminate(words, cols):

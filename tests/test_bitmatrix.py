@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from altmat import (
     gf2_solve,
     stack,
 )
+from altmat.bitmatrix import pack_bits, unpack_bits
 from conftest import bit_matrices, square_bit_matrices
 from reference import rank_by_fractions
 
@@ -52,6 +55,47 @@ def test_row_and_col_sums():
     assert A22.row_sums() == (2, 2, 2)
     assert A22.col_sums() == (2, 2, 2)
     assert A22.row_ones(1) == [0, 2]
+
+
+# -- bit packing ------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_pack_bits_sets_bit_i_from_entry_i(bits):
+    word = pack_bits(bits)
+    assert word == sum(b << i for i, b in enumerate(bits))
+    assert unpack_bits(word, len(bits)) == tuple(bits)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 256, "1", None])
+def test_pack_bits_names_the_first_bad_entry(bad):
+    with pytest.raises(ValueError) as exc:
+        pack_bits([1, 0, bad, 1, 3])
+    assert str(exc.value) == f"entry {bad!r} is not a bit"
+
+
+def test_pack_bits_reads_a_string_entry_by_entry():
+    with pytest.raises(ValueError) as exc:
+        pack_bits("01")
+    assert str(exc.value) == "entry '0' is not a bit"
+
+
+def test_pack_bits_rejects_a_bare_int():
+    # bytes(5) is five zero bytes, which would pass for a word of zeros, and
+    # bytes(1 << 62) cannot be allocated
+    for word in (5, 1 << 62):
+        with pytest.raises(TypeError):
+            pack_bits(word)
+
+
+def test_pack_bits_edge_values():
+    assert pack_bits([]) == 0
+    assert pack_bits((True, False, True)) == 5
+    assert pack_bits(b"\x01\x00\x01") == 5
+    # a buffer of 8-byte items: its bytes are not its entries
+    assert pack_bits(array("Q", [1, 0, 1])) == 5
+    with pytest.raises(TypeError):
+        pack_bits([1.0])
 
 
 # -- flip transpose -------------------------------------------------------------

@@ -6,6 +6,7 @@ rows wider than 64 and 128 bits, and pivots past bit 64.
 
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,86 @@ def test_submatrix_rejects_out_of_range_columns():
 def test_gf2_mul_matches_reference(a, data):
     b = data.draw(bit_matrices(min_rows=a.cols, max_rows=a.cols, max_cols=140))
     assert gf2_mul(a, b) == reference.gf2_mul(a, b)
+
+
+# widths around the 4-row runs of a table and the 64-bit words of a row;
+# 1, 3, 5, 63, 65 and 130 leave the last table partial
+TABLE_WIDTHS = (1, 3, 4, 5, 63, 64, 65, 130)
+
+
+@st.composite
+def matvec_words(draw, cols):
+    """0, a word within cols bits, one up to 70 bits wider, or a negative one."""
+    return draw(st.one_of(
+        st.just(0),
+        st.integers(0, (1 << cols) - 1),
+        st.integers(1 << cols, (1 << (cols + 70)) - 1),
+        st.integers(-(1 << (cols + 70)), -1),
+    ))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(TABLE_WIDTHS), st.data())
+def test_gf2_matvec_matches_per_row_parity(cols, data):
+    m = data.draw(bit_matrices(max_rows=140, min_cols=cols, max_cols=cols))
+    x = data.draw(matvec_words(cols))
+    assert gf2_matvec(m, x) == reference.gf2_matvec(m, x)
+    tables = m.column_tables
+    assert [len(t) for t in tables] == [16] * (cols // 4) + [1 << cols % 4] * (cols % 4 > 0)
+
+
+def reference_pack(bits):
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def test_verify_codeword_matches_per_row_parity():
+    k, ell = 7, 5
+    h = build_a(k, ell)
+    enc = make_encoder(k, ell)
+    s = enc.partition.message_len
+    rng = random.Random(85)
+    codewords = [encode(enc, unpack_bits(rng.getrandbits(s), s)) for _ in range(20)]
+    words = [unpack_bits(rng.getrandbits(h.cols), h.cols) for _ in range(100)]
+    # codewords with 1-3 errors lie next to the code
+    for word in codewords:
+        errors = set(rng.sample(range(h.cols), rng.randint(1, 3)))
+        words.append(tuple(b ^ (i in errors) for i, b in enumerate(word)))
+    for word in codewords + words:
+        expected = reference.gf2_matvec(h, reference_pack(word)) == 0
+        assert verify_codeword(k, ell, word) == expected
+    assert sum(verify_codeword(k, ell, w) for w in words) < len(words) // 10
+    # no column of build_a is zero, so every single-bit error shows
+    word = codewords[0]
+    for i in range(h.cols):
+        flipped = word[:i] + (1 - word[i],) + word[i + 1 :]
+        assert reference.gf2_matvec(h, reference_pack(flipped)) != 0
+        assert not verify_codeword(k, ell, flipped)
+
+
+def test_column_tables_die_with_the_cached_matrix():
+    # tables are held on the matrix, so clearing build_a's cache frees them
+    build_a.cache_clear()
+    h = build_a(7, 5)
+    gf2_matvec(h, 1)
+    assert "column_tables" in vars(h)
+    alive = weakref.ref(h)
+    del h
+    build_a.cache_clear()
+    assert alive() is None
+
+
+def test_column_tables_of_a75_stay_small():
+    # 116 tables of 16 column XORs, 330 bits each; the packed rows are 18.6 KiB
+    h = build_a(7, 5)
+    fresh = BitMatrix(h.rows, h.cols, h.bits)
+    tracemalloc.start()
+    try:
+        tables = fresh.column_tables
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 116
+    assert held <= 200 * 1024
 
 
 @settings(max_examples=50)

@@ -34,3 +34,27 @@ def test_library_does_not_import_fractions():
         and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
     ]
     assert found == []
+
+
+def test_only_the_family_builders_have_functools_caches():
+    # a functools cache lives as long as its module and keeps what it returns
+    # alive; any other memo sits on an instance (cached_property) and is freed
+    # with it, so clearing these two caches drops every table derived from them
+    caches = {"cache", "lru_cache"}
+    decorated, references, renamed = [], 0, []
+    for path, node in library_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) in caches:
+                    decorated.append((path.name, node.name))
+        elif isinstance(node, ast.Name) and node.id in caches:
+            references += 1
+        elif isinstance(node, ast.Attribute) and node.attr in caches:
+            references += 1
+        elif isinstance(node, ast.alias) and node.name in caches and node.asname:
+            renamed.append(f"{path.name}: {node.name} as {node.asname}")
+    assert decorated == [("families.py", "build_a"), ("families.py", "build_b")]
+    # the decorators are the only places a cache is named
+    assert references == len(decorated)
+    assert renamed == []
