@@ -10,35 +10,46 @@ for all three.
 
 Export works on whole rows: the ones of every row come from
 ``BitMatrix.supports()`` (for the alist column section,
-``column_supports()``), and every index is written through one
-list of index strings.
+``column_supports()``), and every index is written through one list of
+index strings. A MatrixMarket row is one string, "\\ni j" for each of its
+ones; an alist section's lines are rendered by ``_weight_line`` and
+``_index_lines``.
 
-Import converts tokens through a table ``{str(v): v}`` sized from the
-already-checked header and capped at twice the number of ones it declares
-(for MatrixMarket, its entry lines; for each alist section, also the
-tokens its lines can hold), so one lookup both converts a token and bounds
-it, and a payload with few ones, or a header that overstates them, builds
-no large table whatever shape it declares. Only a token the table misses
-("05", "+3", an index out of range or past the cap, a word) goes through
-``int()``, which keeps the language a plain ``int()`` parse accepts. Row
-words are summed from shifted bits, never set one entry at a time, so a
-repeated index shows as a popcount short of the entry count. The
-MatrixMarket entry section is split and converted in one pass; a section
-that pass does not take as it stands goes line by line. alist lines are
-converted one line at a time; the column section's indices are gathered
-per row (only rows that get a one have a list), each row line must list
-exactly its row's gathered columns, and the words are summed from those
-lists. Errors name the first bad line in file order, as a line-by-line
-parse would. A header whose shape is past ``bitmatrix.within_limit`` is
-refused on its size line before anything is allocated.
+alist and MatrixMarket import have two routes. The canonical route reads
+a payload laid out as export writes it, a whole section at a time: the
+section's text with its digits deleted must be export's blanks and
+newlines (so it is ASCII digits in single-blank-separated lines, the last
+one ending in a newline), it is split once, and its tokens are converted
+through a table ``{str(v): v}`` no longer than the token list, or through
+``int()`` as a whole if the table misses one. MatrixMarket rows are runs
+of equal row tokens, and only the column tokens and one row token per run
+are converted. An alist is read from its row section alone; its
+column-weight line and column section must then equal, byte for byte,
+what ``_weight_line`` and ``_index_lines`` render from the columns those
+rows hold. Row words are summed from shifted bits, never set one entry at
+a time, so a repeated index shows as a popcount short of the entry count.
+Beyond the rows of the matrix it returns, everything this route allocates
+is bounded by the payload's length, not by a number its header states.
+
+A payload the canonical route declines (spellings such as "+3", tabs or
+"\\r", a row's MatrixMarket entries apart, alist column lines in another
+order, a missing final newline, and every malformed payload) goes through
+the line-by-line route, which defines the accepted language and every
+error: tokens are read as a plain ``int()`` parse reads them, and errors
+name the first bad line in file order. Its alist token tables are sized
+from the already-checked header and capped at twice the number of ones it
+declares and at the tokens each section's lines can hold, so a header
+that overstates its ones builds no large table. A header whose shape is
+past ``bitmatrix.within_limit`` is refused on its size line before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from itertools import chain, compress, count, islice, pairwise, repeat
-from operator import lshift, ne
+from itertools import accumulate, compress, count, groupby, islice, repeat
+from operator import add, eq, lshift, ne
 
 from . import bitmatrix
 from .bitmatrix import BitMatrix, column_supports
@@ -46,6 +57,8 @@ from .bitmatrix import BitMatrix, column_supports
 FORMATS = ("alist", "matrixmarket", "dense")
 
 MM_HEADER = "%%MatrixMarket matrix coordinate pattern general"
+
+_DIGITS = b"0123456789"
 
 
 class MatrixParseError(ValueError):
@@ -64,28 +77,40 @@ def export_matrix(m: BitMatrix, fmt: str) -> str:
     names = list(map(str, range(max(m.rows, m.cols) + 1)))
     one_based = names[1:]
     if fmt == "matrixmarket":
-        lines = [MM_HEADER, f"{m.rows} {m.cols} {sum(m.row_sums())}"]
+        parts = [MM_HEADER, f"\n{m.rows} {m.cols} {sum(m.row_sums())}"]
         for name, support in zip(one_based, m.supports()):
-            lines.extend(map(f"{name} ".__add__, map(one_based.__getitem__, support)))
-        return "\n".join(lines) + "\n"
+            if support:
+                p = f"\n{name} "
+                parts.append(p + p.join(map(one_based.__getitem__, support)))
+        parts.append("\n")
+        return "".join(parts)
     if fmt == "alist":
         row_idx = m.supports()
         col_idx = column_supports(row_idx, m.cols)
-        cmax = max(map(len, col_idx))
-        rmax = max(map(len, row_idx))
+        row_lists = [list(map(one_based.__getitem__, s)) for s in row_idx]
+        col_lists = [list(map(one_based.__getitem__, s)) for s in col_idx]
+        cmax = max(map(len, col_lists))
+        rmax = max(map(len, row_lists))
         lines = [
             f"{m.cols} {m.rows}",
             f"{cmax} {rmax}",
-            " ".join(map(names.__getitem__, map(len, col_idx))),
-            " ".join(map(names.__getitem__, map(len, row_idx))),
+            _weight_line(col_lists, names),
+            _weight_line(row_lists, names),
         ]
-        for section, width in ((col_idx, cmax), (row_idx, rmax)):
-            lines.extend(
-                " ".join(chain(map(one_based.__getitem__, s), repeat("0", width - len(s))))
-                for s in section
-            )
+        lines.extend(_index_lines(col_lists, cmax))
+        lines.extend(_index_lines(row_lists, rmax))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _weight_line(index_lists: Iterable[list[str]], names: Sequence[str]) -> str:
+    """An alist weight line: names[len(s)] for each list s of written indices."""
+    return " ".join(map(names.__getitem__, map(len, index_lists)))
+
+
+def _index_lines(index_lists: Iterable[list[str]], width: int) -> Iterable[str]:
+    """alist index lines, one at a time: each list of written indices, then "0" up to width."""
+    return (" ".join(s + ["0"] * (width - len(s))) for s in index_lists)
 
 
 def import_matrix(text: str, fmt: str) -> BitMatrix:
@@ -103,6 +128,23 @@ def _lines(text: str) -> list[str]:
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _line_at(text: str, start: int) -> tuple[str, int]:
+    """The line of text that begins at start, and where the next one begins.
+
+    As ``_lines`` cuts text, a next line exists only if it begins before
+    len(text).
+    """
+    end = text.find("\n", start)
+    if end < 0:
+        return text[start:], len(text)
+    return text[start:end], end + 1
+
+
+def _offset(lines: list[str], t: int) -> int:
+    """Where line t (0-based) of the text split into lines starts."""
+    return sum(map(len, islice(lines, t))) + t
 
 
 def _check_size(rows: int, cols: int, lineno: int) -> None:
@@ -141,11 +183,42 @@ def _ints(line: str, lineno: int, table: dict[str, int] | None = None) -> list[i
     return out
 
 
+def _laid_out(section: str, line: bytes, lines: int) -> bool:
+    """Whether section, with its digits deleted, is line repeated lines times.
+
+    Text that is not ASCII never is. line * lines is built only once the
+    section is known to be that long.
+    """
+    if not section.isascii():
+        return False
+    rest = section.encode().translate(None, _DIGITS)
+    return len(rest) == len(line) * lines and rest == line * lines
+
+
+def _indices(tokens: list[str], first: int, last: int) -> list[int] | None:
+    """The digit tokens as ints, or None unless every one is in first..last.
+
+    A table {str(v): v} no longer than the token list converts them; if it
+    misses one, int() converts them all, as the line-by-line route would.
+    """
+    top = min(last, first + len(tokens))
+    table = dict(zip(map(str, range(first, top + 1)), count(first)))
+    try:
+        return list(map(table.__getitem__, tokens))
+    except KeyError:
+        pass
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # more digits than int() reads, so out of range
+        return None
+    return values if first <= min(values) and max(values) <= last else None
+
+
 def _word(indices: Sequence[int]) -> int:
     """Word with bit v-1 set for each 1-based index v.
 
     A repeated index carries into the next bit, so the popcount comes out
-    short of the number of indices.
+    short of the number of indices; an index 0 drops out the same way.
     """
     return sum(map(lshift, repeat(1), indices)) >> 1
 
@@ -182,65 +255,70 @@ def _parse_dense(text: str) -> BitMatrix:
 
 
 def _parse_matrixmarket(text: str) -> BitMatrix:
-    lines = _lines(text)
-    if not lines:
+    # the lines up to the size line are cut off one at a time; the entry
+    # section stays one string, split into lines only to go line by line
+    if not text:
         raise MatrixParseError(1, "empty payload")
-    header = lines[0].split()
+    line, start = _line_at(text, 0)
+    header = line.split()
     expected = MM_HEADER.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket" or [
         h.lower() for h in header[1:]
     ] != expected[1:]:
         raise MatrixParseError(1, "expected coordinate-pattern-general header")
     t = 1
-    while t < len(lines) and lines[t].startswith("%"):
-        t += 1
-    if t >= len(lines):
+    while start < len(text):
+        line, after = _line_at(text, start)
+        if not line.startswith("%"):
+            break
+        t, start = t + 1, after
+    else:
         raise MatrixParseError(t + 1, "missing size line")
-    size = _ints(lines[t], t + 1)
+    size = _ints(line, t + 1)
     if len(size) != 3 or size[0] < 1 or size[1] < 1 or size[2] < 0:
         raise MatrixParseError(t + 1, "size line must be 'rows cols nnz'")
     rows, cols, nnz = size
     _check_size(rows, cols, t + 1)
-    entry_lines = lines[t + 1 :]
-    if len(entry_lines) != nnz:
-        raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {len(entry_lines)}")
-    words = _entry_words(entry_lines, rows, cols)
+    section = text[after:]
+    got = section.count("\n") + (not section.endswith("\n")) if section else 0
+    if got != nnz:
+        raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {got}")
+    words = _entries_as_written(section, nnz, rows, cols)
     if words is None:
-        words = _entry_words_by_line(entry_lines, t + 2, rows, cols)
+        words = _entry_words_by_line(_lines(section), t + 2, rows, cols)
     return BitMatrix(rows, cols, tuple(words))
 
 
-def _entry_words(entry_lines: list[str], rows: int, cols: int) -> list[int] | None:
-    """Row words of a MatrixMarket entry section, in one pass over its tokens.
+def _entries_as_written(section: str, nnz: int, rows: int, cols: int) -> list[int] | None:
+    """Row words of a MatrixMarket entry section laid out as export writes it.
 
-    Each line is cut once at its first blank, so a line with more than two
-    tokens leaves a second part the index table misses and a line with
-    fewer leaves the token count short. None when that happens, or an index
-    is out of range or an entry repeats; the section then goes line by line,
-    which finds the line to blame or, for tokens spelled another way (such
-    as "05" or trailing blanks), the same words.
+    The section must be nnz lines "i j", digits only, the last one ending in
+    a newline. It is split once; each run of equal row tokens is one row, so
+    only the column tokens and the first row token of each run are
+    converted. None (the section then goes line by line) for any other
+    layout, an index out of range, or a repeated entry or a row in two runs
+    (a later run replaces the earlier one), which leave the popcount short
+    of nnz.
     """
-    # no larger than the section's token count, so a short section declaring
-    # a huge shape builds no huge table (its larger indices then miss)
-    table = _index_table(min(max(rows, cols), 2 * len(entry_lines)))
-    parts = chain.from_iterable(map(str.split, entry_lines, repeat(None), repeat(1)))
-    values = list(map(table.get, parts))
-    if len(values) != 2 * len(entry_lines) or None in values:
+    if not _laid_out(section, b" \n", nnz):
         return None
-    ii, jj = values[0::2], values[1::2]
-    del values
-    if not ii:
+    tokens = section.split()
+    if len(tokens) != 2 * nnz:
+        return None
+    if not nnz:
         return [0] * rows
-    if min(ii) < 1 or max(ii) > rows or min(jj) < 1 or max(jj) > cols:
+    # runs of equal row tokens: as written, one run per row
+    runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
+    jj = _indices(tokens[1::2], 1, cols)
+    del tokens
+    ii = _indices([token for token, _ in runs], 1, rows)
+    if ii is None or jj is None:
         return None
-    # runs of entries on one row; export order has one run per row, and a
-    # row split over several runs is OR-ed together
-    cuts = [0, *compress(count(1), map(ne, ii, islice(ii, 1, None))), len(ii)]
+    ends = list(accumulate(length for _, length in runs))
     words = [0] * rows
-    for start, end in pairwise(cuts):
-        words[ii[start] - 1] |= _word(jj[start:end])
-    # a repeated entry carries within a run, or is OR-ed once across two
-    if sum(map(int.bit_count, words)) != len(ii):
+    for i, start, end in zip(ii, [0, *ends], ends):
+        words[i - 1] = _word(jj[start:end])
+    if sum(map(int.bit_count, words)) != nnz:
         return None
     return words
 
@@ -291,6 +369,74 @@ def _parse_alist(text: str) -> BitMatrix:
         raise MatrixParseError(2, "rmax does not match the row weights")
     if sum(col_weights) != sum(row_weights):
         raise MatrixParseError(4, "row and column weights disagree on the number of ones")
+    words = _alist_as_written(text, lines, cols, cmax, rmax, row_weights)
+    if words is None:
+        words = _alist_words_by_line(lines, cols, rows, col_weights, row_weights)
+    return BitMatrix(rows, cols, tuple(words))
+
+
+def _alist_as_written(
+    text: str, lines: list[str], cols: int, cmax: int, rmax: int, row_weights: list[int]
+) -> list[int] | None:
+    """Row words of an alist body laid out as export writes it, or None.
+
+    Both index sections must be lines of exactly cmax (rmax) digit tokens
+    separated by single blanks, the last line ending in a newline. The words
+    are read from the row section alone: row i's first row_weights[i] tokens
+    must be distinct indices (its popcount says so) and all its other tokens
+    zeros (the zero count says so). The column-weight line and the column
+    section must then be what export's renderers write for the columns
+    those rows hold. None (the payload then goes line by line) otherwise.
+    """
+    rows = len(row_weights)
+    # true of every payload as written, and it bounds the lines the layout
+    # checks build by the payload's line count
+    if not (0 <= cmax <= rows and 0 <= rmax <= cols):
+        return None
+    col_start, row_start = _offset(lines, 4), _offset(lines, 4 + cols)
+    if not _laid_out(text[col_start:row_start], b" " * (cmax - 1) + b"\n", cols):
+        return None
+    section = text[row_start:]
+    if not _laid_out(section, b" " * (rmax - 1) + b"\n", rows):
+        return None
+    tokens = section.split()
+    del section
+    if len(tokens) != rows * rmax:
+        return None
+    values = _indices(tokens, 0, cols)
+    del tokens
+    if values is None:
+        return None
+    if values.count(0) != len(values) - sum(row_weights):
+        return None
+    # with rmax = 0 every row is empty and any start will do
+    starts = range(0, rows * rmax, rmax) if rmax else range(rows)
+    segments = map(slice, starts, map(add, starts, row_weights))
+    words = list(map(_word, map(values.__getitem__, segments)))
+    if any(map(ne, map(int.bit_count, words), row_weights)):
+        return None
+    # the rows holding each column, written and in order; only a column
+    # that holds a one gets a list, as a list for every column would cost a
+    # wide payload with few ones more than going line by line
+    holders: defaultdict[int, list[str]] = defaultdict(list)
+    segments = map(slice, starts, map(add, starts, row_weights))
+    for name, segment in compress(zip(map(str, count(1)), segments), row_weights):
+        for j in values[segment]:
+            holders[j].append(name)
+    names = list(map(str, range(max(map(len, holders.values()), default=0) + 1)))
+    if _weight_line(map(holders.get, range(1, cols + 1), repeat([])), names) != lines[2]:
+        return None
+    # each column line of the payload holds cmax tokens (checked above), so
+    # no rendered line pads past the payload's
+    col_lines = _index_lines(map(holders.get, range(1, cols + 1), repeat([])), cmax)
+    if not all(map(eq, col_lines, islice(lines, 4, 4 + cols))):
+        return None
+    return words
+
+
+def _alist_words_by_line(
+    lines: list[str], cols: int, rows: int, col_weights: list[int], row_weights: list[int]
+) -> list[int]:
     # each section's table covers the indices it may hold, but no more than
     # the declared index count nor the tokens its lines can hold, so a
     # header with few ones or a short section builds no huge table (indices
@@ -326,4 +472,4 @@ def _parse_alist(text: str) -> BitMatrix:
             )
         if sorted(idx) != row_idx.get(i, []):
             raise MatrixParseError(lineno, f"row {i} disagrees with the column section")
-    return BitMatrix(rows, cols, tuple(_word(row_idx.get(i, ())) for i in range(1, rows + 1)))
+    return [_word(row_idx.get(i, ())) for i in range(1, rows + 1)]

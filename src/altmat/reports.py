@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from math import comb
 
-from .bitmatrix import exact_rank, flip_transpose, gf2_rank
+from .bitmatrix import exact_rank, flip_transpose, gf2_rank, unpack_bits
 from .codes import (
     ENUMERATION_LIMIT,
     distance_bound,
@@ -228,8 +228,8 @@ def encoder_report(
         entry["phi_rank"] = gf2_rank(enc.phi)
         s = entry["message_len"]
         rng = random.Random(seed)
-        messages = [tuple(1 if t == i else 0 for t in range(s)) for i in range(s)]
-        messages += [tuple(rng.randrange(2) for _ in range(s)) for _ in range(samples)]
+        messages = [unpack_bits(1 << i, s) for i in range(s)]
+        messages += [unpack_bits(rng.getrandbits(s), s) for _ in range(samples)]
         verified = all(verify_codeword(k, ell, encode(enc, msg)) for msg in messages)
         entry["all_verified"] = verified
         ok &= verified

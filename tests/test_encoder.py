@@ -190,3 +190,24 @@ def test_matvec_agrees_with_encode_verification():
     h = build_a(3, 2)
     word = 0b010101  # (1,0,1,0,1,0) packed little-endian
     assert gf2_matvec(h, word) == 0
+
+
+def test_encoder_report_verifies_its_random_messages(monkeypatch):
+    # one codeword of a message that is not a unit vector fails to verify:
+    # only a report that verifies its random messages can see it
+    from altmat import reports
+
+    rejected = []
+
+    def verify(k, ell, x):
+        s = split_sizes(k, ell)[1]
+        if not rejected and sum(x[-s:]) != 1:
+            rejected.append(x)
+            return False
+        return verify_codeword(k, ell, x)
+
+    monkeypatch.setattr(reports, "verify_codeword", verify)
+    report = reports.encoder_report(grid=((4, 2),))
+    assert rejected
+    assert report["ok"] is False
+    assert report["entries"][0]["all_verified"] is False

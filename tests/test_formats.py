@@ -273,7 +273,15 @@ SPARSE_PAYLOADS = [
     for cid, corner in (("zero", 0), ("corner", 1))
     for sid, rows, cols in (("tall", 5000, 1), ("wide", 1, 5000))
     for fmt in ("alist", "matrixmarket")
-] + [pytest.param("alist", OVERSTATED_ALIST, id="overstated-weight-alist")]
+] + [
+    pytest.param("alist", OVERSTATED_ALIST, id="overstated-weight-alist"),
+    # headers that state 10^8 ones, or lines 10^8 tokens long, over a tiny payload
+    pytest.param("matrixmarket", f"{MM[0]}\n2 2 100000000\n1 1\n2 2\n", id="overstated-nnz-mm"),
+    pytest.param(
+        "alist", "1 1\n100000000 100000000\n100000000\n100000000\n1\n1\n",
+        id="overstated-width-alist",
+    ),
+]
 
 
 @pytest.mark.parametrize("fmt,text", SPARSE_PAYLOADS)

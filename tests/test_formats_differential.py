@@ -5,7 +5,9 @@ give the same matrix or raise MatrixParseError with the same line and
 message. Shapes cover 1 x n and n x 1, all-zero and all-ones rows and
 columns, widths 63, 64, 65 and 130, rows on both sides of the density at
 which ``supports()`` switches method, and lines of several hundred
-indices.
+indices. Every payload export writes must be read by the canonical route
+alone, without the line-by-line route; payloads a step from that layout
+must still read as the reference reads them.
 """
 
 import random
@@ -15,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from altmat import BitMatrix, MatrixParseError, build_a, build_b, export_matrix, import_matrix
+from altmat import (
+    BitMatrix,
+    MatrixParseError,
+    build_a,
+    build_b,
+    export_matrix,
+    formats,
+    import_matrix,
+)
 from altmat.bitmatrix import column_supports
 from conftest import bit_matrices, random_matrix
 
@@ -66,11 +76,26 @@ def outcome(parse, text, fmt):
         return "error", exc.line, str(exc)
 
 
+def read_as_written(text, fmt):
+    """import_matrix(text, fmt) with the line-by-line routes made to raise."""
+
+    def refuse(*args):
+        raise AssertionError("a payload as export writes it went line by line")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_entry_words_by_line", refuse)
+        mp.setattr(formats, "_alist_words_by_line", refuse)
+        return import_matrix(text, fmt)
+
+
 def check_codecs(m):
     for fmt in SPARSE_FORMATS:
         text = export_matrix(m, fmt)
         assert text == reference.export_matrix(m, fmt)
-        assert import_matrix(text, fmt) == m == reference.import_matrix(text, fmt)
+        assert read_as_written(text, fmt) == m == reference.import_matrix(text, fmt)
+        # the same payload without its final newline
+        cut = text[:-1]
+        assert outcome(import_matrix, cut, fmt) == outcome(reference.import_matrix, cut, fmt)
 
 
 def check_supports(m):
@@ -97,6 +122,70 @@ def test_supports_match_reference(m):
 def test_long_lines_match_reference(m):
     check_codecs(m)
     check_supports(m)
+
+
+# all-zero matrices, and a matrix with an all-zero row and column
+ZEROS = [
+    BitMatrix.zeros(1, 1),
+    BitMatrix.zeros(3, 5),
+    BitMatrix.zeros(140, 1),
+    BitMatrix.zeros(1, 140),
+    BitMatrix.from_rows([[1, 0, 1], [0, 0, 0], [1, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("m", ZEROS, ids=lambda m: f"{m.rows}x{m.cols}-{sum(m.row_sums())}")
+def test_zero_lines_match_reference(m):
+    check_codecs(m)
+
+
+def moved_token(text, first):
+    """text with the first token of a line after line first (0-based) moved
+    to the end of the line before it: the same tokens in the same order,
+    over other lines."""
+    lines = text.split("\n")[:-1]
+    t = next(t for t in range(first + 1, len(lines)) if lines[t][:1] not in ("", "0"))
+    token, _, tail = lines[t].partition(" ")
+    lines[t - 1], lines[t] = " ".join(filter(None, (lines[t - 1], token))), tail
+    return "\n".join(lines) + "\n"
+
+
+def index_in_padding(text, first):
+    """text with the first zero that pads a line from line first on (0-based)
+    written over by that line's first index."""
+    lines = text.split("\n")[:-1]
+    t = next(t for t in range(first, len(lines)) if lines[t].endswith(" 0") and lines[t][0] != "0")
+    lines[t] = lines[t][:-1] + lines[t].split(" ")[0]
+    return "\n".join(lines) + "\n"
+
+
+# rows of unequal weight, so that alist row lines are padded
+NEAR_MISS = [random_matrix(5, 9, seed) for seed in range(4)] + [
+    BitMatrix.from_rows([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 1]])
+]
+
+
+@pytest.mark.parametrize("m", NEAR_MISS, ids=lambda m: f"{m.rows}x{m.cols}-{m.bits[0]}")
+def test_payloads_a_step_from_export_match_reference(m):
+    # each reads like export's payload to a check that looks at too little:
+    # the same tokens over other lines, or an index where a zero pads a line
+    mm, alist = export_matrix(m, "matrixmarket"), export_matrix(m, "alist")
+    payloads = [
+        ("matrixmarket", moved_token(mm, 2)),
+        ("alist", moved_token(alist, 4 + m.cols)),
+        ("alist", index_in_padding(alist, 4 + m.cols)),
+    ]
+    for fmt, text in payloads:
+        assert text != export_matrix(m, fmt)
+        assert outcome(import_matrix, text, fmt) == outcome(reference.import_matrix, text, fmt)
+
+
+def test_a_repeat_in_both_alist_sections_matches_reference():
+    # row 1 lists column 1 twice and column 1 lists row 1 twice: the two
+    # sections agree with each other, and only the repeat is wrong
+    text = "2 2\n2 2\n2 1\n2 1\n1 1\n2 0\n1 1\n2 0\n"
+    assert outcome(import_matrix, text, "alist") == outcome(reference.import_matrix, text, "alist")
+    assert outcome(import_matrix, text, "alist")[0] == "error"
 
 
 def mutate_token(lines, rng, bound, body):
