@@ -131,7 +131,7 @@ def encoder_from_partition(part: Partition) -> Encoder:
     phi = gf2_mul(part.top, b)
     rhs = gf2_mul(part.top, a)
     g, s = part.gap, part.message_len
-    basis = gf2_basis(pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits))
+    basis = gf2_basis([pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits)])
     # a member whose lowest bit is a message bit is zero on the gap columns
     # but not on the right-hand side; the lowest such bit is the first basis
     # message without a solution

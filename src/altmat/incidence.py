@@ -135,17 +135,22 @@ def bipartite_isomorphism(
     ra, ca = _adjacency(a)
     rb, cb = _adjacency(b)
 
+    def keys(colors, neighbour_colors, adjacency):
+        """Each vertex's color with the sorted colors of its neighbours."""
+        look = neighbour_colors.__getitem__
+        return [(c, tuple(sorted(map(look, nbrs)))) for c, nbrs in zip(colors, adjacency)]
+
     def refine(rc_a, cc_a, rc_b, cc_b):
         while True:
-            key_ra = [(rc_a[i], tuple(sorted(cc_a[j] for j in ra[i]))) for i in range(a.rows)]
-            key_rb = [(rc_b[i], tuple(sorted(cc_b[j] for j in rb[i]))) for i in range(b.rows)]
+            key_ra = keys(rc_a, cc_a, ra)
+            key_rb = keys(rc_b, cc_b, rb)
             if sorted(key_ra) != sorted(key_rb):
                 return None
             ids = {k: t for t, k in enumerate(sorted(set(key_ra)))}
             new_rc_a = [ids[k] for k in key_ra]
             new_rc_b = [ids[k] for k in key_rb]
-            key_ca = [(cc_a[j], tuple(sorted(new_rc_a[i] for i in ca[j]))) for j in range(a.cols)]
-            key_cb = [(cc_b[j], tuple(sorted(new_rc_b[i] for i in cb[j]))) for j in range(b.cols)]
+            key_ca = keys(cc_a, new_rc_a, ca)
+            key_cb = keys(cc_b, new_rc_b, cb)
             if sorted(key_ca) != sorted(key_cb):
                 return None
             ids = {k: t for t, k in enumerate(sorted(set(key_ca)))}

@@ -5,9 +5,10 @@ time, the plain way, so that the fast kernels in ``altmat`` can be checked
 against it: the alist and MatrixMarket codecs set one entry at a time,
 ``gf2_matvec`` takes one parity bit per row instead of looking columns up in
 subset-XOR tables, ``encode_by_parts`` solves for the parity parts of each
-codeword with it instead of XOR-ing generator rows, and ``gleason_fit``
-row-reduces over the rationals instead of substituting forward. None of this
-is used by the library.
+codeword with it instead of XOR-ing generator rows, ``gleason_fit``
+row-reduces over the rationals instead of substituting forward, and
+``weight_enumerator`` counts one codeword at a time instead of thousands in
+bit-sliced counters. None of this is used by the library.
 """
 
 from fractions import Fraction
@@ -124,6 +125,23 @@ def gf2_eliminate(words, cols):
         pivots.append(c)
         r += 1
     return words, pivots
+
+
+def weight_enumerator(gen):
+    """Codeword-weight histogram, one codeword at a time in Gray-code order.
+
+    The basis is the pivot rows of ``gf2_eliminate``; each step XORs one of
+    them into the running codeword and counts its weight.
+    """
+    words, pivots = gf2_eliminate(gen.bits, gen.cols)
+    basis = words[: len(pivots)]
+    counts = [0] * (gen.cols + 1)
+    counts[0] = 1
+    word = 0
+    for t in range(1, 1 << len(basis)):
+        word ^= basis[(t & -t).bit_length() - 1]
+        counts[word.bit_count()] += 1
+    return WeightEnumerator(gen.cols, tuple((w, c) for w, c in enumerate(counts) if c))
 
 
 def gf2_solve(a, rhs):
