@@ -180,11 +180,15 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
     if code.variant != "sparse":
         raise ValueError("isodual certificate is defined for the sparse variant")
     n = 2 * code.n0
+    if code.parity.cols != n:
+        raise ValueError(f"n0 = {code.n0} needs {n} coordinates, not {code.parity.cols}")
     sigma = tuple(range(n - 1, -1, -1))
-    permuted = code.parity.permute_columns(sigma)
+    # reversing the coordinates of a row reverses its n-digit binary numeral
+    numeral = f"0{n}b"
+    permuted = [int(format(w, numeral)[::-1], 2) for w in code.parity.bits]
     basis = gf2_basis(code.generator.bits)
-    outside = next((w for w in permuted.bits if gf2_reduce(basis, w)), None)
-    ok = outside is None and len(basis) == gf2_rank(permuted) == code.n0
+    outside = next((w for w in permuted if gf2_reduce(basis, w)), None)
+    ok = outside is None and len(basis) == len(gf2_basis(permuted)) == code.n0
     counterexample = None if outside is None else unpack_bits(outside, n)
     return IsodualWitness(sigma, ok, counterexample)
 

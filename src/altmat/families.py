@@ -71,7 +71,7 @@ class Fragmentation:
     tail: BitMatrix
 
     def reassemble(self) -> BitMatrix:
-        return compose([self.glue, self.tail], fill=0, top=self.top)
+        return compose([stack(self.top, self.glue), self.tail])
 
 
 def fragment_a(k: int, ell: int) -> Fragmentation:

@@ -36,10 +36,11 @@ A payload the canonical route declines (spellings such as "+3", tabs or
 order, a missing final newline, and every malformed payload) goes through
 the line-by-line route, which defines the accepted language and every
 error: tokens are read as a plain ``int()`` parse reads them, and errors
-name the first bad line in file order. Its alist token tables are sized
-from the already-checked header and capped at twice the number of ones it
-declares and at the tokens each section's lines can hold, so a header
-that overstates its ones builds no large table. A header whose shape is
+name the first bad line in file order. It sets one entry at a time into
+the row words, so a repeated index is the bit already set, and compares
+each alist row line with the ones of its word. Besides the payload's
+lines it holds the row words and one line's tokens at a time, and an
+alist's row count is bounded by its line count. A header whose shape is
 past ``bitmatrix.within_limit`` is refused on its size line before
 anything is allocated.
 """
@@ -52,7 +53,7 @@ from itertools import accumulate, compress, count, groupby, islice, repeat
 from operator import add, eq, lshift, ne
 
 from . import bitmatrix
-from .bitmatrix import BitMatrix, column_supports
+from .bitmatrix import BitMatrix, bit_support, column_supports
 
 FORMATS = ("alist", "matrixmarket", "dense")
 
@@ -154,28 +155,10 @@ def _check_size(rows: int, cols: int, lineno: int) -> None:
         )
 
 
-def _index_table(n: int) -> dict[str, int]:
-    """{"0": 0, "1": 1, ..., str(n): n}."""
-    return dict(zip(map(str, range(n + 1)), range(n + 1)))
-
-
-def _token_bound(lines: Iterable[str], nlines: int) -> int:
-    """At most this many blank-separated tokens are on the nlines lines given.
-
-    A token is at least one character, and a blank or a line end follows it.
-    """
-    return (sum(map(len, lines)) + nlines) // 2
-
-
-def _ints(line: str, lineno: int, table: dict[str, int] | None = None) -> list[int]:
-    """The line's tokens as integers: through table if it has them all, else int()."""
-    tokens = line.split()
-    if table is not None:
-        values = list(map(table.get, tokens))
-        if None not in values:
-            return values
+def _ints(line: str, lineno: int) -> list[int]:
+    """The line's blank-separated tokens, each read by int()."""
     out = []
-    for tok in tokens:
+    for tok in line.split():
         try:
             out.append(int(tok))
         except ValueError:
@@ -221,20 +204,6 @@ def _word(indices: Sequence[int]) -> int:
     short of the number of indices; an index 0 drops out the same way.
     """
     return sum(map(lshift, repeat(1), indices)) >> 1
-
-
-def _first_bad(indices: list[int], n: int) -> int | None:
-    """The first index outside 1..n or repeated, or None."""
-    if not indices or (
-        len(set(indices)) == len(indices) and min(indices) >= 1 and max(indices) <= n
-    ):
-        return None
-    seen = set()
-    for v in indices:
-        if not (1 <= v <= n) or v in seen:
-            return v
-        seen.add(v)
-    return None
 
 
 def _parse_dense(text: str) -> BitMatrix:
@@ -437,39 +406,28 @@ def _alist_as_written(
 def _alist_words_by_line(
     lines: list[str], cols: int, rows: int, col_weights: list[int], row_weights: list[int]
 ) -> list[int]:
-    # each section's table covers the indices it may hold, but no more than
-    # the declared index count nor the tokens its lines can hold, so a
-    # header with few ones or a short section builds no huge table (indices
-    # past it miss and go through int())
-    declared = 2 * sum(col_weights) + 1
-    col_tokens = _token_bound(islice(lines, 4, 4 + cols), cols)
-    row_tokens = _token_bound(islice(lines, 4 + cols, None), rows)
-    col_table = _index_table(min(rows, declared, col_tokens))
-    row_table = _index_table(min(cols, declared, row_tokens))
-    # the columns of each row, gathered from the column section in order;
-    # only rows that get a one have a list
-    row_idx: defaultdict[int, list[int]] = defaultdict(list)
-    for j, weight in enumerate(col_weights, 1):
-        lineno = 4 + j
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno, col_table)))
+    """Row words of an alist body, set from the column section one entry at a time."""
+    words = [0] * rows
+    for j, weight in enumerate(col_weights):
+        lineno = 5 + j
+        idx = list(filter(None, _ints(lines[lineno - 1], lineno)))
         if len(idx) != weight:
             raise MatrixParseError(
-                lineno, f"column {j} lists {len(idx)} entries, header says {weight}"
+                lineno, f"column {j + 1} lists {len(idx)} entries, header says {weight}"
             )
-        bad = _first_bad(idx, rows)
-        if bad is not None:
-            if not (1 <= bad <= rows):
-                raise MatrixParseError(lineno, f"row index {bad} out of bounds")
-            raise MatrixParseError(lineno, f"duplicate entry in column {j}")
         for i in idx:
-            row_idx[i].append(j)
+            if not (1 <= i <= rows):
+                raise MatrixParseError(lineno, f"row index {i} out of bounds")
+            if words[i - 1] >> j & 1:
+                raise MatrixParseError(lineno, f"duplicate entry in column {j + 1}")
+            words[i - 1] |= 1 << j
     for i, weight in enumerate(row_weights, 1):
         lineno = 4 + cols + i
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno, row_table)))
+        idx = list(filter(None, _ints(lines[lineno - 1], lineno)))
         if len(idx) != weight:
             raise MatrixParseError(
                 lineno, f"row {i} lists {len(idx)} entries, header says {weight}"
             )
-        if sorted(idx) != row_idx.get(i, []):
+        if sorted(idx) != [j + 1 for j in bit_support(words[i - 1], cols)]:
             raise MatrixParseError(lineno, f"row {i} disagrees with the column section")
-    return [_word(row_idx.get(i, ())) for i in range(1, rows + 1)]
+    return words

@@ -14,7 +14,7 @@ bit-sliced counters. None of this is used by the library.
 from fractions import Fraction
 
 from altmat import BitMatrix
-from altmat.bitmatrix import gf2_vecmat, pack_bits, unpack_bits
+from altmat.bitmatrix import pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
 from altmat.formats import MM_HEADER, MatrixParseError
@@ -54,6 +54,11 @@ def transpose(m):
             w >>= 1
             j += 1
     return BitMatrix(m.cols, m.rows, tuple(words))
+
+
+def anti_identity(n):
+    """The permutation matrix J that reverses n coordinates."""
+    return BitMatrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))
 
 
 def submatrix(m, row_idx, col_idx):
@@ -327,7 +332,10 @@ def encode_by_parts(enc, message):
     """Codeword from the particular solution: p1, then p2 = B·p1 + A·s."""
     part = enc.partition
     s_word = pack_bits(message)
-    p1 = gf2_vecmat(s_word, enc.particular)
+    p1 = 0
+    for j, row in enumerate(enc.particular):
+        if (s_word >> j) & 1:
+            p1 ^= row
     p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
     n2, g = part.glue.cols, part.gap
     return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)

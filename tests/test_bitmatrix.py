@@ -16,7 +16,7 @@ from altmat import (
 )
 from altmat.bitmatrix import pack_bits, unpack_bits
 from conftest import bit_matrices, square_bit_matrices
-from reference import rank_by_fractions
+from reference import anti_identity, rank_by_fractions
 
 A22 = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -54,7 +54,7 @@ def test_dimensions_are_part_of_identity():
 def test_row_and_col_sums():
     assert A22.row_sums() == (2, 2, 2)
     assert A22.col_sums() == (2, 2, 2)
-    assert A22.row_ones(1) == [0, 2]
+    assert A22.supports()[1] == [0, 2]
 
 
 # -- bit packing ------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_flip_transpose_is_an_involution(m):
 
 @given(square_bit_matrices())
 def test_flip_transpose_is_conjugated_transpose(m):
-    ia = BitMatrix.anti_identity(m.rows)
+    ia = anti_identity(m.rows)
     assert flip_transpose(m) == gf2_mul(gf2_mul(ia, m.transpose()), ia)
 
 

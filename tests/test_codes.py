@@ -1,5 +1,6 @@
 import pytest
 
+import reference
 from altmat import codes, reports
 from altmat import (
     BitMatrix,
@@ -108,15 +109,21 @@ def test_isodual_certificate(k):
 def test_isodual_permutation_is_an_involution():
     code = make_code(3, "sparse")
     wit = isodual_witness(code)
-    twice = code.parity.permute_columns(wit.permutation).permute_columns(
-        wit.permutation
-    )
-    assert twice == code.parity
+    rows = range(code.parity.rows)
+    once = reference.submatrix(code.parity, rows, wit.permutation)
+    assert reference.submatrix(once, rows, wit.permutation) == code.parity
 
 
 def test_isodual_rejects_dense_variant():
     with pytest.raises(ValueError):
         isodual_witness(make_code(4, "dense"))
+
+
+def test_isodual_rejects_a_width_other_than_2n0():
+    # the reversal is of all 2 * n0 coordinates, so a wider row has no image
+    g = BitMatrix.from_rows([[1, 1, 0]])
+    with pytest.raises(ValueError):
+        isodual_witness(CodePair(g, g, 1, "sparse", 0))
 
 
 def test_isodual_failure_produces_a_counterexample():

@@ -58,7 +58,7 @@ EDGE_CASES = [
     BitMatrix.zeros(3, 129),
     BitMatrix.ones(3, 129),
     BitMatrix.identity(65),
-    BitMatrix.anti_identity(129),
+    reference.anti_identity(129),
     BitMatrix.hollow_ones(70),
     # wide dense random matrices, of full or near-full rank
     random_matrix(70, 150, 1),
@@ -75,8 +75,7 @@ def check_kernel(m):
 
 def check_transforms(m):
     check_kernel(m)
-    for i in range(m.rows):
-        assert m.row_ones(i) == reference.row_ones(m, i)
+    assert m.supports() == [reference.row_ones(m, i) for i in range(m.rows)]
     assert m.to_lists() == [[(w >> j) & 1 for j in range(m.cols)] for w in m.bits]
     assert BitMatrix.from_rows(m.to_lists()) == m
 
@@ -168,29 +167,6 @@ def test_elimination_matches_reference(m):
 @given(SHAPES)
 def test_dense_format_matches_reference(m):
     check_dense_format(m)
-
-
-@settings(max_examples=50)
-@given(SHAPES, st.data())
-def test_submatrix_matches_reference(m, data):
-    rows = data.draw(st.lists(st.integers(0, m.rows - 1), min_size=1, max_size=8))
-    cols = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=150))
-    assert m.submatrix(rows, cols) == reference.submatrix(m, rows, cols)
-    lo = data.draw(st.integers(0, m.cols - 1))
-    run = range(lo, data.draw(st.integers(lo + 1, m.cols)))
-    assert m.submatrix(rows, run) == reference.submatrix(m, rows, run)
-    perm = data.draw(st.permutations(range(m.cols)))
-    assert m.permute_columns(perm) == reference.submatrix(m, range(m.rows), perm)
-
-
-def test_submatrix_rejects_out_of_range_columns():
-    m = BitMatrix.ones(2, 3)
-    with pytest.raises(IndexError):
-        m.submatrix([0], [3])
-    with pytest.raises(IndexError):
-        m.submatrix([0], [-1])
-    with pytest.raises(ValueError):
-        m.submatrix([0], [])
 
 
 @settings(max_examples=50)
@@ -350,11 +326,9 @@ def sparse_code_pairs(draw):
     return CodePair(gen, par, n0, "sparse", 0)
 
 
-@settings(max_examples=50)
-@given(sparse_code_pairs())
-def test_isodual_witness_matches_reference(code):
+def check_isodual(code):
     wit = isodual_witness(code)
-    permuted = code.parity.permute_columns(wit.permutation)
+    permuted = reference.submatrix(code.parity, range(code.n0), wit.permutation)
     stacked = BitMatrix(2 * code.n0, 2 * code.n0, code.generator.bits + permuted.bits)
     ranks = {
         len(reference.gf2_eliminate(m.bits, m.cols)[1])
@@ -363,6 +337,29 @@ def test_isodual_witness_matches_reference(code):
     assert wit.ok == (ranks == {code.n0})
     expected = None if wit.ok else reference.isodual_counterexample(code.generator, permuted)
     assert wit.counterexample == expected
+    return wit
+
+
+@settings(max_examples=50)
+@given(sparse_code_pairs())
+def test_isodual_witness_matches_reference(code):
+    check_isodual(code)
+
+
+@pytest.mark.parametrize("n0", [32, 33, 64, 65])
+def test_isodual_witness_across_word_boundaries(n0):
+    # parity (I | T) where every third row of T is zero: those rows end in
+    # n0 zero coordinates, so their reversal must pad them to 2 * n0 digits
+    rng = random.Random(n0)
+    t = [0 if i % 3 == 0 else rng.getrandbits(n0) for i in range(n0)]
+    parity = BitMatrix(n0, 2 * n0, tuple(1 << i | w << n0 for i, w in enumerate(t)))
+    generator = reference.submatrix(parity, range(n0), range(2 * n0 - 1, -1, -1))
+    assert check_isodual(CodePair(generator, parity, n0, "sparse", 0)).ok
+    # flipping coordinate 0 of one generator row puts a reversed parity row
+    # outside the code: (I | T) holds no word with its first half zero
+    doctored = BitMatrix(n0, 2 * n0, generator.bits[:-1] + (generator.bits[-1] ^ 1,))
+    wit = check_isodual(CodePair(doctored, parity, n0, "sparse", 0))
+    assert not wit.ok and wit.counterexample is not None
 
 
 def gleason_combination(n0, a):

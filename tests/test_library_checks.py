@@ -58,3 +58,26 @@ def test_only_the_family_builders_have_functools_caches():
     # the decorators are the only places a cache is named
     assert references == len(decorated)
     assert renamed == []
+
+
+def test_library_has_no_unused_imports():
+    # a package __init__ imports to re-export, and __future__ imports are
+    # compiler directives
+    imported, used = {}, set()
+    for path, node in library_nodes():
+        if path.name == "__init__.py":
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[path.name, alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[path.name, alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add((path.name, node.id))
+    found = [
+        f"{name}:{line} {alias}"
+        for (name, alias), line in imported.items()
+        if (name, alias) not in used
+    ]
+    assert found == []
