@@ -74,11 +74,13 @@ class CodePair:
     k: int
 
     def __post_init__(self) -> None:
-        if (self.generator.rows, self.generator.cols) != (
-            self.parity.rows,
-            self.parity.cols,
-        ):
+        shape = (self.generator.rows, self.generator.cols)
+        if shape != (self.parity.rows, self.parity.cols):
             raise ValueError("generator and parity must have identical shape")
+        if shape != (self.n0, 2 * self.n0):
+            raise ValueError(
+                f"shape {shape[0]} x {shape[1]} is not n0 x 2*n0 for n0 = {self.n0}"
+            )
         if self.variant not in ("sparse", "dense"):
             raise ValueError("variant must be 'sparse' or 'dense'")
 
@@ -180,8 +182,6 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
     if code.variant != "sparse":
         raise ValueError("isodual certificate is defined for the sparse variant")
     n = 2 * code.n0
-    if code.parity.cols != n:
-        raise ValueError(f"n0 = {code.n0} needs {n} coordinates, not {code.parity.cols}")
     sigma = tuple(range(n - 1, -1, -1))
     # reversing the coordinates of a row reverses its n-digit binary numeral
     numeral = f"0{n}b"

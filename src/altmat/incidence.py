@@ -14,14 +14,27 @@ that matrix bit for bit (the component's tuples share their unpaired
 elements, and index order is then the order of their full pairs), so bit
 equality certifies it; the permutation-equivalence search runs only for a
 component where that identity fails, as on a permuted input.
+
+``bipartite_isomorphism`` is that search. Rows and columns share one vertex
+space; a splitter queue refines the colour classes of both matrices in step
+(Paige & Tarjan 1987; McKay & Piperno 2014): a dequeued class re-keys only
+its neighbours, by how many of their neighbours lie in it, and a class that
+splits queues all but its largest part, so singletons whose neighbours did
+not change are never looked at again. The stable partition is the coarsest
+equitable refinement, which is unique, so the verdict of
+``permutation_equivalent`` does not depend on how classes are numbered or
+queued; that order only picks which witness a search with several finds
+first, and every witness is verified entry by entry.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, groupby
 from math import comb
+from operator import itemgetter
 
 from .bitmatrix import BitMatrix, column_supports
 from .families import build_a
@@ -117,97 +130,176 @@ def _adjacency(m: BitMatrix) -> tuple[list[list[int]], list[list[int]]]:
     return rows, column_supports(rows, m.cols)
 
 
+def _vertex_adjacency(m: BitMatrix) -> list[list[int]]:
+    """Neighbours of every vertex: rows are 0..rows-1, column j is rows + j."""
+    rows, cols = _adjacency(m)
+    shift = m.rows
+    return [[shift + j for j in s] for s in rows] + cols
+
+
+def _root(rows: int, cols: int) -> tuple:
+    """The first search state: rows in one class, columns in another, both queued.
+
+    A state is (colour_a, classes_a, colour_b, classes_b, queue): a colour
+    per vertex and the members of each class, for a and for b, and the
+    splitter classes still to pop.
+    """
+    classes = [list(c) for c in (range(rows), range(rows, rows + cols)) if c]
+    colour = [0] * rows + [len(classes) - 1] * cols
+    return colour, classes, colour.copy(), classes.copy(), list(range(len(classes)))
+
+
+def _individualize(
+    colour: list[int], classes: list[list[int]], v: int
+) -> tuple[list[int], list[list[int]]]:
+    """Copies of colour and classes with vertex v moved into a fresh class."""
+    c = colour[v]
+    colour = colour.copy()
+    colour[v] = len(classes)
+    classes = classes.copy()
+    classes[c] = [u for u in classes[c] if u != v]
+    classes.append([v])
+    return colour, classes
+
+
+def _child(state: tuple, v: int, w: int) -> tuple:
+    """A copy of a refined state with a-vertex v and b-vertex w in a fresh class.
+
+    The parent partition is equitable, so the fresh singleton is the only
+    splitter the child needs.
+    """
+    colour_a, classes_a, colour_b, classes_b, _ = state
+    return (
+        *_individualize(colour_a, classes_a, v),
+        *_individualize(colour_b, classes_b, w),
+        [len(classes_a)],
+    )
+
+
+def _refine(
+    adj_a: list[list[int]],
+    adj_b: list[list[int]],
+    colour_a: list[int],
+    classes_a: list[list[int]],
+    colour_b: list[int],
+    classes_b: list[list[int]],
+    queue: list[int],
+) -> bool:
+    """Split both partitions in place until no queued splitter splits a class.
+
+    A popped splitter S counts every vertex's neighbours in S, on a and on
+    b; the touched vertices of each class, grouped by count, are its parts,
+    and any (class, count) group of a different size on the two sides
+    means a and b part ways: False. A class that splits keeps its id for
+    its untouched vertices (for the part of least count if all are
+    touched), and its other parts take new ids in order of count, so both
+    sides number their classes alike. Member lists are replaced, never
+    changed in place, so states may share them.
+    """
+    queued = set(queue)
+    while queue:
+        s = queue.pop()
+        queued.discard(s)
+        count_a = Counter(chain.from_iterable(map(adj_a.__getitem__, classes_a[s])))
+        count_b = Counter(chain.from_iterable(map(adj_b.__getitem__, classes_b[s])))
+        groups_a: dict[tuple[int, int], list[int]] = {}
+        for v, k in count_a.items():
+            groups_a.setdefault((colour_a[v], k), []).append(v)
+        groups_b: dict[tuple[int, int], list[int]] = {}
+        for v, k in count_b.items():
+            groups_b.setdefault((colour_b[v], k), []).append(v)
+        if len(groups_a) != len(groups_b) or any(
+            len(groups_b.get(key, ())) != len(vs) for key, vs in groups_a.items()
+        ):
+            return False
+        for c, keys in groupby(sorted(groups_a), itemgetter(0)):
+            keys = list(keys)
+            parts_a = [groups_a[key] for key in keys]
+            parts_b = [groups_b[key] for key in keys]
+            rest = len(classes_a[c]) - sum(map(len, parts_a))
+            if rest:
+                parts_a.insert(0, [u for u in classes_a[c] if u not in count_a])
+                parts_b.insert(0, [u for u in classes_b[c] if u not in count_b])
+            elif len(parts_a) == 1:
+                continue
+            classes_a[c] = parts_a[0]
+            classes_b[c] = parts_b[0]
+            ids = [c]
+            for part_a, part_b in zip(parts_a[1:], parts_b[1:]):
+                t = len(classes_a)
+                for v in part_a:
+                    colour_a[v] = t
+                for v in part_b:
+                    colour_b[v] = t
+                classes_a.append(part_a)
+                classes_b.append(part_b)
+                ids.append(t)
+            if c in queued:
+                del ids[0]
+            else:
+                # counts in the whole class are known, so its largest part
+                # follows from the others (Hopcroft's smaller-half rule)
+                sizes = list(map(len, parts_a))
+                del ids[sizes.index(max(sizes))]
+            queue.extend(ids)
+            queued.update(ids)
+    return True
+
+
 def bipartite_isomorphism(
     a: BitMatrix, b: BitMatrix
 ) -> tuple[list[int], list[int]] | None:
     """Row and column permutations carrying a onto b, or None.
 
-    Classic color refinement with individualization: rows and columns get
-    colors refined by the multiset of neighbour colors; ambiguous classes
-    are split by fixing one vertex and trying each compatible image, depth
-    first on an explicit stack, so a search many levels deep needs no
-    recursion. Every leaf candidate is verified entry by entry, so a
-    returned pair is always a genuine witness (row_perm[i] is the b-row
-    matching a-row i).
+    Rows and columns share one vertex space, and a search state holds, for
+    a and for b, a colour per vertex, the members of each colour class, and
+    a queue of splitter classes. Refinement (``_refine``) pops a splitter,
+    counts each vertex's neighbours in it, and splits classes by that count
+    in step on both sides; a class that splits queues all of its parts if
+    it was queued already and all but its largest otherwise (Hopcroft's
+    smaller-half rule), so only vertices next to a class that split are
+    ever re-keyed. From the rows-versus-columns start with both classes
+    queued, this reaches the coarsest equitable refinement, which is
+    unique, or finds that a and b part ways.
+
+    Classes still ambiguous are split depth first on an explicit stack, so
+    a search many levels deep needs no recursion: the first a-vertex of the
+    smallest non-singleton class and each b-vertex of that class in turn go
+    into a fresh class, the only one the child queues (``_child``). Every
+    leaf candidate is verified entry by entry, so a returned pair is always
+    a genuine witness (row_perm[i] is the b-row matching a-row i). Because each stable
+    partition is unique, which branches fail and hence the verdict do not
+    depend on how refinement numbers its classes; the numbering does pick
+    the search order, and so which of several witnesses is returned.
     """
     if a.rows != b.rows or a.cols != b.cols:
         return None
-    ra, ca = _adjacency(a)
-    rb, cb = _adjacency(b)
-
-    def keys(colors, neighbour_colors, adjacency):
-        """Each vertex's color with the sorted colors of its neighbours."""
-        look = neighbour_colors.__getitem__
-        return [(c, tuple(sorted(map(look, nbrs)))) for c, nbrs in zip(colors, adjacency)]
-
-    def refine(rc_a, cc_a, rc_b, cc_b):
-        while True:
-            key_ra = keys(rc_a, cc_a, ra)
-            key_rb = keys(rc_b, cc_b, rb)
-            if sorted(key_ra) != sorted(key_rb):
-                return None
-            ids = {k: t for t, k in enumerate(sorted(set(key_ra)))}
-            new_rc_a = [ids[k] for k in key_ra]
-            new_rc_b = [ids[k] for k in key_rb]
-            key_ca = keys(cc_a, new_rc_a, ca)
-            key_cb = keys(cc_b, new_rc_b, cb)
-            if sorted(key_ca) != sorted(key_cb):
-                return None
-            ids = {k: t for t, k in enumerate(sorted(set(key_ca)))}
-            new_cc_a = [ids[k] for k in key_ca]
-            new_cc_b = [ids[k] for k in key_cb]
-            if (new_rc_a, new_cc_a, new_rc_b, new_cc_b) == (rc_a, cc_a, rc_b, cc_b):
-                return rc_a, cc_a, rc_b, cc_b
-            rc_a, cc_a, rc_b, cc_b = new_rc_a, new_cc_a, new_rc_b, new_cc_b
-
-    def extract(rc_a, cc_a, rc_b, cc_b):
-        row_of_b = {c: i for i, c in enumerate(rc_b)}
-        col_of_b = {c: j for j, c in enumerate(cc_b)}
-        row_perm = [row_of_b[c] for c in rc_a]
-        col_perm = [col_of_b[c] for c in cc_a]
-        for i in range(a.rows):
-            image = 0
-            for j in ra[i]:
-                image |= 1 << col_perm[j]
-            if image != b.bits[row_perm[i]]:
-                return None
-        return row_perm, col_perm
-
-    def children(rc_a, cc_a, rc_b, cc_b, side, color):
-        """The individualizations of the first a-vertex of color, one per b-image."""
-        arr_a, arr_b = (rc_a, rc_b) if side == "r" else (cc_a, cc_b)
-        fresh = max(arr_a) + 1
-        v = arr_a.index(color)
-        for w, c in enumerate(arr_b):
-            if c != color:
-                continue
-            na, nb = list(arr_a), list(arr_b)
-            na[v] = fresh
-            nb[w] = fresh
-            yield (na, cc_a, nb, cc_b) if side == "r" else (rc_a, na, rc_b, nb)
-
+    adj_a, adj_b = _vertex_adjacency(a), _vertex_adjacency(b)
     # one iterator of states still to try per level of individualization
-    stack = [iter([([0] * a.rows, [0] * a.cols, [0] * b.rows, [0] * b.cols)])]
+    stack = [iter([_root(a.rows, a.cols)])]
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
             continue
-        refined = refine(*state)
-        if refined is None:
+        if not _refine(adj_a, adj_b, *state):
             continue
-        rc_a, cc_a, _, _ = refined
-        target = None
-        for side, arr in (("r", rc_a), ("c", cc_a)):
-            for color, cnt in Counter(arr).items():
-                if cnt > 1 and (target is None or cnt < target[2]):
-                    target = (side, color, cnt)
-        if target is None:
-            found = extract(*refined)
-            if found is not None:
-                return found
+        classes_a = state[1]
+        ambiguous = [c for c, members in enumerate(classes_a) if len(members) > 1]
+        if ambiguous:
+            # the first a-vertex of the smallest such class, onto each b-image
+            c = min(ambiguous, key=lambda c: len(classes_a[c]))
+            stack.append(map(partial(_child, state, classes_a[c][0]), state[3][c]))
             continue
-        stack.append(children(*refined, *target[:2]))
+        classes_b = state[3]
+        image = [classes_b[c][0] for c in state[0]]
+        row_perm = image[: a.rows]
+        col_perm = [u - a.rows for u in image[a.rows :]]
+        if all(
+            sum(1 << col_perm[u - a.rows] for u in adj_a[i]) == b.bits[row_perm[i]]
+            for i in range(a.rows)
+        ):
+            return row_perm, col_perm
     return None
 
 

@@ -8,13 +8,16 @@ subset-XOR tables, ``encode_by_parts`` solves for the parity parts of each
 codeword with it instead of XOR-ing generator rows, ``gleason_fit``
 row-reduces over the rationals instead of substituting forward, and
 ``weight_enumerator`` counts one codeword at a time instead of thousands in
-bit-sliced counters. None of this is used by the library.
+bit-sliced counters, and ``colour_refine`` rebuilds and sorts every vertex's
+neighbour-colour key in every round instead of re-keying only the neighbours
+of a queued splitter class. None of this is used by the library.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from altmat import BitMatrix
-from altmat.bitmatrix import pack_bits, unpack_bits
+from altmat.bitmatrix import column_supports, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
 from altmat.formats import MM_HEADER, MatrixParseError
@@ -479,3 +482,99 @@ def _parse_alist(lines):
         if idx != [j + 1 for j in row_ones(m, i)]:
             raise MatrixParseError(lineno, f"row {i + 1} disagrees with the column section")
     return m
+
+
+def colour_refine(ra, ca, rb, cb, rc_a, cc_a, rc_b, cc_b):
+    """Stable row and column colours of a and b, or None where they part ways.
+
+    ra/ca and rb/cb are the row and column supports of a and b; rc_*/cc_*
+    are the starting row and column colours. Each round re-keys every row
+    by its colour and the sorted colours of its columns, then every column
+    likewise by the new row colours, and renumbers the keys in sorted
+    order, until a round changes nothing.
+    """
+
+    def keys(colors, neighbour_colors, adjacency):
+        look = neighbour_colors.__getitem__
+        return [(c, tuple(sorted(map(look, nbrs)))) for c, nbrs in zip(colors, adjacency)]
+
+    while True:
+        key_ra = keys(rc_a, cc_a, ra)
+        key_rb = keys(rc_b, cc_b, rb)
+        if sorted(key_ra) != sorted(key_rb):
+            return None
+        ids = {k: t for t, k in enumerate(sorted(set(key_ra)))}
+        new_rc_a = [ids[k] for k in key_ra]
+        new_rc_b = [ids[k] for k in key_rb]
+        key_ca = keys(cc_a, new_rc_a, ca)
+        key_cb = keys(cc_b, new_rc_b, cb)
+        if sorted(key_ca) != sorted(key_cb):
+            return None
+        ids = {k: t for t, k in enumerate(sorted(set(key_ca)))}
+        new_cc_a = [ids[k] for k in key_ca]
+        new_cc_b = [ids[k] for k in key_cb]
+        if (new_rc_a, new_cc_a, new_rc_b, new_cc_b) == (rc_a, cc_a, rc_b, cc_b):
+            return rc_a, cc_a, rc_b, cc_b
+        rc_a, cc_a, rc_b, cc_b = new_rc_a, new_cc_a, new_rc_b, new_cc_b
+
+
+def bipartite_isomorphism(a, b):
+    """Row and column permutations carrying a onto b, or None.
+
+    Colour refinement by full rebuild (``colour_refine``) with
+    individualization of the first vertex of the smallest ambiguous class,
+    rows before columns, depth first on an explicit stack; every leaf is
+    verified entry by entry.
+    """
+    if a.rows != b.rows or a.cols != b.cols:
+        return None
+    ra, rb = a.supports(), b.supports()
+    ca, cb = column_supports(ra, a.cols), column_supports(rb, b.cols)
+
+    def extract(rc_a, cc_a, rc_b, cc_b):
+        row_of_b = {c: i for i, c in enumerate(rc_b)}
+        col_of_b = {c: j for j, c in enumerate(cc_b)}
+        row_perm = [row_of_b[c] for c in rc_a]
+        col_perm = [col_of_b[c] for c in cc_a]
+        for i in range(a.rows):
+            image = 0
+            for j in ra[i]:
+                image |= 1 << col_perm[j]
+            if image != b.bits[row_perm[i]]:
+                return None
+        return row_perm, col_perm
+
+    def children(rc_a, cc_a, rc_b, cc_b, side, color):
+        arr_a, arr_b = (rc_a, rc_b) if side == "r" else (cc_a, cc_b)
+        fresh = max(arr_a) + 1
+        v = arr_a.index(color)
+        for w, c in enumerate(arr_b):
+            if c != color:
+                continue
+            na, nb = list(arr_a), list(arr_b)
+            na[v] = fresh
+            nb[w] = fresh
+            yield (na, cc_a, nb, cc_b) if side == "r" else (rc_a, na, rc_b, nb)
+
+    stack = [iter([([0] * a.rows, [0] * a.cols, [0] * b.rows, [0] * b.cols)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        refined = colour_refine(ra, ca, rb, cb, *state)
+        if refined is None:
+            continue
+        rc_a, cc_a, _, _ = refined
+        target = None
+        for side, arr in (("r", rc_a), ("c", cc_a)):
+            for color, cnt in Counter(arr).items():
+                if cnt > 1 and (target is None or cnt < target[2]):
+                    target = (side, color, cnt)
+        if target is None:
+            found = extract(*refined)
+            if found is not None:
+                return found
+            continue
+        stack.append(children(*refined, *target[:2]))
+    return None

@@ -75,6 +75,16 @@ def test_code_pair_shape_validation():
         CodePair(g, BitMatrix.from_rows([[1, 1, 0]]), 1, "sparse", 0)
 
 
+def test_code_pair_rejects_a_shape_other_than_n0_by_2n0():
+    # equal shapes, but 1 x 3 is no [2, 1] code: the parity check and the
+    # enumerator would answer for a code of another length
+    g = BitMatrix.from_rows([[1, 1, 0]])
+    with pytest.raises(ValueError, match=r"1 x 3 .* n0 = 1"):
+        CodePair(g, g, 1, "sparse", 0)
+    with pytest.raises(ValueError, match=r"2 x 4 .* n0 = 1"):
+        CodePair(BitMatrix.zeros(2, 4), BitMatrix.zeros(2, 4), 1, "dense", 0)
+
+
 # -- duality ---------------------------------------------------------------------
 
 

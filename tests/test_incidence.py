@@ -1,9 +1,11 @@
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
 from altmat import (
@@ -23,7 +25,9 @@ from altmat import (
     symplectic_pairs,
 )
 from altmat import incidence
+from altmat.bitmatrix import column_supports
 from altmat.incidence import l_oracle_dims
+from conftest import bit_matrices
 
 
 def test_index_set_hand_values():
@@ -230,6 +234,197 @@ def test_isomorphism_detects_inequivalence():
         [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
     )
     assert bipartite_isomorphism(eight_cycle, two_four_cycles) is None
+
+
+def test_refinement_blind_inequivalence_at_scale():
+    # one 120-vertex cycle against two 60-vertex cycles, as 60 x 60 I + P and
+    # the block diagonal of two 30 x 30 ones: every vertex has degree 2, so
+    # refinement splits nothing, and each top-level child fails
+    n, h = 60, 30
+    one_cycle = BitMatrix(n, n, tuple(1 << i | 1 << (i + 1) % n for i in range(n)))
+    two_cycles = BitMatrix(
+        n, n, tuple((1 << i % h | 1 << (i + 1) % h) << i // h * h for i in range(n))
+    )
+    assert sorted(one_cycle.col_sums()) == sorted(two_cycles.col_sums())
+    assert library_partitions(one_cycle, two_cycles) == (
+        {frozenset(range(n)), frozenset(range(n, 2 * n))},
+    ) * 2
+    for w in range(n):
+        assert library_partitions(one_cycle, two_cycles, 0, w) is None
+    assert bipartite_isomorphism(one_cycle, two_cycles) is None
+
+
+# -- splitter-queue refinement against the full rebuild -----------------------------
+
+
+def shuffled(m, rng):
+    """m with its rows and its columns in random order."""
+    rows, cols = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
+    return reference.submatrix(m, rows, cols)
+
+
+def switched(m, rng):
+    """m with one 2 x 2 switch [[1, 0], [0, 1]] -> [[0, 1], [1, 0]], if it has one.
+
+    A switch keeps every row and column weight, so only refinement past the
+    degrees, or the search, can tell the result from m.
+    """
+    rows = m.to_lists()
+    spots = [
+        (i, k, j, l)
+        for i, k in combinations(range(m.rows), 2)
+        for j, l in permutations(range(m.cols), 2)
+        if rows[i][j] and rows[k][l] and not rows[i][l] and not rows[k][j]
+    ]
+    if not spots:
+        return m
+    i, k, j, l = rng.choice(spots)
+    rows[i][j] = rows[k][l] = 0
+    rows[i][l] = rows[k][j] = 1
+    return BitMatrix.from_rows(rows)
+
+
+def library_partitions(a, b, row_a=None, row_b=None):
+    """Stable partitions of a and b, as sets of classes, or None if they part ways.
+
+    Refinement starts from rows against columns; given row_a and row_b, the
+    stable result is refined again with those rows individualized, as the
+    search does.
+    """
+    adj_a, adj_b = incidence._vertex_adjacency(a), incidence._vertex_adjacency(b)
+    state = incidence._root(a.rows, a.cols)
+    if row_a is not None:
+        if not incidence._refine(adj_a, adj_b, *state):
+            return None
+        state = incidence._child(state, row_a, row_b)
+    if not incidence._refine(adj_a, adj_b, *state):
+        return None
+    # a row that was a class of its own leaves its old class empty
+    return {frozenset(c) for c in state[1] if c}, {frozenset(c) for c in state[3] if c}
+
+
+def reference_partitions(a, b, row_a=None, row_b=None):
+    """The same partitions by the full rebuild, from rows row_a and row_b set apart."""
+    ra, rb = a.supports(), b.supports()
+    rc_a, rc_b = [0] * a.rows, [0] * b.rows
+    if row_a is not None:
+        rc_a[row_a] = rc_b[row_b] = 1
+    stable = reference.colour_refine(
+        ra, column_supports(ra, a.cols), rb, column_supports(rb, b.cols),
+        rc_a, [0] * a.cols, rc_b, [0] * b.cols,
+    )
+    if stable is None:
+        return None
+
+    def classes(row_colours, col_colours):
+        out = {}
+        for i, c in enumerate(row_colours):
+            out.setdefault(("r", c), set()).add(i)
+        for j, c in enumerate(col_colours):
+            out.setdefault(("c", c), set()).add(len(row_colours) + j)
+        return {frozenset(c) for c in out.values()}
+
+    return classes(*stable[:2]), classes(*stable[2:])
+
+
+def brute_force_equivalent(a, b):
+    """Some row order of a gives it b's columns, as a multiset."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return False
+    rows_a = a.to_lists()
+    cols_b = sorted(zip(*b.to_lists()))
+    return any(sorted(zip(*(rows_a[i] for i in p))) == cols_b for p in permutations(range(a.rows)))
+
+
+def check_verdict(a, b):
+    """The search agrees with the full rebuild, and a witness carries a onto b."""
+    found = bipartite_isomorphism(a, b)
+    assert (found is not None) == (reference.bipartite_isomorphism(a, b) is not None)
+    if found is not None:
+        rp, cp = found
+        assert sorted(rp) == list(range(a.rows)) and sorted(cp) == list(range(a.cols))
+        assert reference.submatrix(b, rp, cp) == a
+    return found is not None
+
+
+@st.composite
+def partner_pairs(draw, max_side=7):
+    """A matrix and a partner of its shape: a shuffle, a switched shuffle, or any."""
+    a = draw(bit_matrices(max_rows=max_side, max_cols=max_side))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("shuffle", "switch", "any")))
+    if kind == "any":
+        b = draw(bit_matrices(min_rows=a.rows, max_rows=a.rows, min_cols=a.cols, max_cols=a.cols))
+    else:
+        b = shuffled(a if kind == "shuffle" else switched(a, rng), rng)
+    return a, b, rng
+
+
+@settings(max_examples=150)
+@given(partner_pairs())
+def test_refined_partitions_match_reference(pair):
+    a, b, rng = pair
+    assert library_partitions(a, b) == reference_partitions(a, b)
+    row_a, row_b = rng.randrange(a.rows), rng.randrange(b.rows)
+    assert library_partitions(a, b, row_a, row_b) == reference_partitions(a, b, row_a, row_b)
+
+
+@settings(max_examples=150)
+@given(partner_pairs(max_side=6))
+def test_verdicts_on_small_pairs_match_reference_and_brute_force(pair):
+    a, b, _ = pair
+    assert check_verdict(a, b) == brute_force_equivalent(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((build_a, build_b)),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_verdicts_on_shuffled_family_members_match_reference(build, k, ell, switch, rng):
+    m = build(k, ell)
+    # on a pair that is not equivalent the search walks its whole tree, and
+    # for a switched member past 300 entries that takes seconds (switched
+    # build_b(3, 5), 35 x 21: up to 1.2 s in the reference)
+    assume(not switch or m.rows * m.cols <= 300)
+    partner = shuffled(switched(m, rng) if switch else m, rng)
+    assert check_verdict(m, partner) or switch
+
+
+def components(m):
+    """The connected components of m's row-column graph, rows and columns in index order."""
+    rows, cols = m.supports(), column_supports(m.supports(), m.cols)
+    seen, out = set(), []
+    for start in range(m.rows):
+        if start in seen:
+            continue
+        comp_rows, comp_cols, todo = {start}, set(), [start]
+        while todo:
+            i = todo.pop()
+            for j in rows[i]:
+                if j not in comp_cols:
+                    comp_cols.add(j)
+                    todo.extend(r for r in cols[j] if r not in comp_rows)
+                    comp_rows.update(cols[j])
+        seen |= comp_rows
+        out.append(reference.submatrix(m, sorted(comp_rows), sorted(comp_cols)))
+    return out
+
+
+BUILD_M_COMPONENTS = sorted(
+    {c for n in (4, 5) for c in components(build_m(n))}, key=lambda c: (c.rows, c.cols, c.bits)
+)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(BUILD_M_COMPONENTS), st.booleans(), st.randoms(use_true_random=False))
+def test_verdicts_on_shuffled_build_m_components_match_reference(comp, switch, rng):
+    j = next(j for j in range(2, 6) if l_oracle_dims(j) == (comp.rows, comp.cols))
+    partner = shuffled(switched(comp, rng) if switch else comp, rng)
+    assert check_verdict(build_a(j, j - 1), partner) or switch
 
 
 # -- block decomposition -----------------------------------------------------------
