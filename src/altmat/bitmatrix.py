@@ -315,7 +315,7 @@ class BitMatrix:
     # -- sums and simple transforms ----------------------------------------
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(w.bit_count() for w in self.bits)
+        return tuple(map(int.bit_count, self.bits))
 
     def col_sums(self) -> tuple[int, ...]:
         """Ones per column, counted by bit-sliced counters (``bit_sliced_sum``).
@@ -364,15 +364,13 @@ def stack(upper: BitMatrix, lower: BitMatrix) -> BitMatrix:
     return BitMatrix(upper.rows + lower.rows, upper.cols, upper.bits + lower.bits)
 
 
-def compose(blocks: Sequence[BitMatrix], fill: int = 0) -> BitMatrix:
-    """Join blocks side by side, bottoms aligned, filling upper cells with ``fill``.
+def compose(blocks: Sequence[BitMatrix]) -> BitMatrix:
+    """Join blocks side by side, bottoms aligned, with zeros above the shorter ones.
 
     Block heights must be non-increasing left to right.
     """
     if not blocks:
         raise ValueError("need at least one block")
-    if fill not in (0, 1):
-        raise ValueError("fill must be a bit")
     heights = [b.rows for b in blocks]
     if any(h2 > h1 for h1, h2 in zip(heights, heights[1:])):
         raise ValueError("block row counts must be non-increasing left to right")
@@ -382,10 +380,6 @@ def compose(blocks: Sequence[BitMatrix], fill: int = 0) -> BitMatrix:
     offset = 0
     for b in blocks:
         pad = total_rows - b.rows
-        if fill:
-            fill_word = ((1 << b.cols) - 1) << offset
-            for i in range(pad):
-                words[i] |= fill_word
         for i, w in enumerate(b.bits):
             words[pad + i] |= w << offset
         offset += b.cols

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from math import comb
+from operator import xor
 
 from .bitmatrix import exact_rank, flip_transpose, gf2_rank, unpack_bits
 from .codes import (
@@ -38,7 +39,15 @@ RANDOM_SEED = 29041
 
 
 def construction_report(kmax: int, lmax: int) -> dict:
-    """Grid check of dimensions, sums, complement, fragmentation, duality."""
+    """Grid check of dimensions, sums, complement, fragmentation, duality.
+
+    Each cell transposes once: flip_a = flip_transpose(a) holds a's columns
+    as its rows (column j of a is row cols-1-j of flip_a), so the column
+    sums are flip_a's row sums, and it answers the duality and persymmetry
+    checks. The flip commutes with complementing, so when b is measured to
+    be the complement of a, flip_b is flip_a's complement; otherwise b is
+    flipped on its own, and the cell and its mirror record what that gives.
+    """
     cells = []
     all_ok = True
     for k in range(1, kmax + 1):
@@ -46,7 +55,12 @@ def construction_report(kmax: int, lmax: int) -> dict:
             a = build_a(k, ell)
             b = build_b(k, ell)
             corner = comb(k + ell - 2, ell - 1)
-            flip_a, flip_b = flip_transpose(a), flip_transpose(b)
+            mask = (1 << a.cols) - 1
+            complement_ok = (b.rows, b.cols) == (a.rows, a.cols) and all(
+                map(mask.__eq__, map(xor, a.bits, b.bits))
+            )
+            flip_a = flip_transpose(a)
+            flip_b = flip_a.complement() if complement_ok else flip_transpose(b)
             cell = {
                 "k": k,
                 "ell": ell,
@@ -54,8 +68,8 @@ def construction_report(kmax: int, lmax: int) -> dict:
                 "cols": a.cols,
                 "dims_ok": (a.rows, a.cols) == dims_of(k, ell),
                 "row_sums_ok": set(a.row_sums()) == {k},
-                "col_sums_ok": set(a.col_sums()) == {ell},
-                "complement_ok": a.xor(b).complement().is_zero(),
+                "col_sums_ok": set(flip_a.row_sums()) == {ell},
+                "complement_ok": complement_ok,
                 "flip_ok": flip_a == build_a(ell, k) and flip_b == build_b(ell, k),
             }
             if ell >= 2:

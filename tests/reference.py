@@ -10,13 +10,16 @@ row-reduces over the rationals instead of substituting forward, and
 ``weight_enumerator`` counts one codeword at a time instead of thousands in
 bit-sliced counters, and ``colour_refine`` rebuilds and sorts every vertex's
 neighbour-colour key in every round instead of re-keying only the neighbours
-of a queued splitter class. None of this is used by the library.
+of a queued splitter class, and ``build_a_by_blocks``/``build_b_by_blocks``
+stack a matrix for every block of the family recursion and join the blocks
+with a fill instead of writing each member's rows directly. None of this is
+used by the library.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from altmat import BitMatrix
+from altmat import BitMatrix, stack
 from altmat.bitmatrix import column_supports, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
@@ -84,6 +87,54 @@ def flip_transpose(a):
             word |= ((a.bits[r - 1 - j] >> (c - 1 - i)) & 1) << j
         words.append(word)
     return BitMatrix(c, r, tuple(words))
+
+
+def join_blocks(blocks, fill):
+    """Blocks side by side, bottoms aligned, the cells above a shorter block set to fill.
+
+    The general block join that ``build_a_by_blocks`` and
+    ``build_b_by_blocks`` use; ``compose`` in the library joins with zero fill.
+    """
+    total_rows = blocks[0].rows
+    words = [0] * total_rows
+    offset = 0
+    for b in blocks:
+        pad = total_rows - b.rows
+        if fill:
+            for i in range(pad):
+                words[i] |= ((1 << b.cols) - 1) << offset
+        for i, w in enumerate(b.bits):
+            words[pad + i] |= w << offset
+        offset += b.cols
+    return BitMatrix(total_rows, offset, tuple(words))
+
+
+def _family_by_blocks(k, ell, base, square, fill):
+    members = {}
+
+    def member(j, e):
+        if (j, e) not in members:
+            if e == 1:
+                members[j, e] = base(1, j)
+            else:
+                blocks = []
+                for i in range(j, 0, -1):
+                    child = member(i, e - 1)
+                    blocks.append(stack(child, square(child.cols)))
+                members[j, e] = join_blocks(blocks, fill)
+        return members[j, e]
+
+    return member(k, ell)
+
+
+def build_a_by_blocks(k, ell):
+    """build_a(k, ell) as a join of the blocks stack(build_a(j, ell-1), I), zero fill."""
+    return _family_by_blocks(k, ell, BitMatrix.ones, BitMatrix.identity, 0)
+
+
+def build_b_by_blocks(k, ell):
+    """build_b(k, ell) as a join of the blocks stack(build_b(j, ell-1), J - I), fill 1."""
+    return _family_by_blocks(k, ell, BitMatrix.zeros, BitMatrix.hollow_ones, 1)
 
 
 def gf2_mul(a, b):

@@ -16,7 +16,7 @@ from altmat import (
 )
 from altmat.bitmatrix import pack_bits, unpack_bits
 from conftest import bit_matrices, square_bit_matrices
-from reference import anti_identity, rank_by_fractions
+from reference import anti_identity, col_sums, join_blocks, rank_by_fractions
 
 A22 = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -129,6 +129,23 @@ def test_flip_transpose_index_formula(m):
             assert f.get(i, j) == m.get(m.rows - 1 - j, m.cols - 1 - i)
 
 
+@st.composite
+def wide_bit_matrices(draw):
+    """Up to 130 x 130, with the widths around one 64-bit tile and more than 64 rows."""
+    rows = draw(st.one_of(st.integers(1, 130), st.integers(65, 130)))
+    cols = draw(st.one_of(st.integers(1, 130), st.sampled_from((63, 64, 65))))
+    return draw(bit_matrices(min_rows=rows, max_rows=rows, min_cols=cols, max_cols=cols))
+
+
+@settings(max_examples=60)
+@given(wide_bit_matrices())
+def test_flip_transpose_answers_for_complement_and_column_sums(m):
+    # construction_report reads b's flip and a's column sums off a's flip
+    f = flip_transpose(m)
+    assert flip_transpose(m.complement()) == f.complement()
+    assert f.row_sums()[::-1] == m.col_sums() == col_sums(m)
+
+
 # -- ranks ----------------------------------------------------------------------
 
 
@@ -219,26 +236,27 @@ def test_stack_hand_value():
 def test_compose_zero_fill_hand_value():
     o2 = stack(BitMatrix.ones(1, 2), BitMatrix.identity(2))
     o1 = stack(BitMatrix.ones(1, 1), BitMatrix.identity(1))
-    assert compose([o2, o1], fill=0) == A22
+    assert compose([o2, o1]) == A22
 
 
 def test_compose_one_fill_hand_value():
     o2 = stack(BitMatrix.zeros(1, 2), BitMatrix.hollow_ones(2))
     o1 = stack(BitMatrix.zeros(1, 1), BitMatrix.hollow_ones(1))
-    assert compose([o2, o1], fill=1) == BitMatrix.from_rows(
+    assert join_blocks([o2, o1], fill=1) == BitMatrix.from_rows(
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     )
 
 
 def test_compose_rejects_increasing_heights():
     with pytest.raises(ValueError):
-        compose([BitMatrix.ones(1, 1), BitMatrix.ones(2, 1)], fill=0)
+        compose([BitMatrix.ones(1, 1), BitMatrix.ones(2, 1)])
 
 
 @settings(max_examples=60)
 @given(st.lists(bit_matrices(max_rows=5, max_cols=4), min_size=1, max_size=4))
 def test_compose_fill_complementarity(blocks):
     blocks.sort(key=lambda b: -b.rows)
-    joined = compose(blocks, fill=0)
-    complemented = compose([b.complement() for b in blocks], fill=1)
+    joined = compose(blocks)
+    assert joined == join_blocks(blocks, fill=0)
+    complemented = join_blocks([b.complement() for b in blocks], fill=1)
     assert joined.xor(complemented) == BitMatrix.ones(joined.rows, joined.cols)

@@ -49,6 +49,16 @@ def test_build_b_hand_values():
     assert build_b(3, 2) == build_a(3, 2).complement()
 
 
+@pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 12) for ell in range(1, 13 - k)])
+def test_members_match_the_block_join_from_cold_caches(k, ell):
+    build_a.cache_clear()
+    build_b.cache_clear()
+    a, b = build_a(k, ell), build_b(k, ell)
+    assert a == reference.build_a_by_blocks(k, ell)
+    assert b == reference.build_b_by_blocks(k, ell)
+    assert a.xor(b) == BitMatrix.ones(a.rows, a.cols)
+
+
 @pytest.mark.parametrize("k,ell", GRID)
 def test_grid_dimensions_and_sums(k, ell):
     a = build_a(k, ell)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from altmat import build_l_oracle, exact_rank
-from altmat.reports import decompose_report
+from altmat.reports import construction_report, decompose_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +29,10 @@ DECOMPOSE_SHA256 = {
     8: "a261cea97ebf5e078b0422116458f16b538b6381d7113471008786f11b4be001",
 }
 
+# sha256 of json.dumps(construction_report(7, 7), sort_keys=True); the full
+# report covers only k, ell <= 6
+CONSTRUCTION_7_7_SHA256 = "64b2df2df1c3e254cf9d9cf3458cd62be26cf447de582d4e3f9df95a9c7f843c"
+
 
 def test_full_report_is_byte_identical():
     out = subprocess.run(
@@ -38,6 +42,12 @@ def test_full_report_is_byte_identical():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout
     assert hashlib.sha256(out).hexdigest() == FULL_REPORT_SHA256
+
+
+def test_construction_report_7_7_is_byte_identical():
+    report = construction_report(7, 7)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == CONSTRUCTION_7_7_SHA256
 
 
 @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))

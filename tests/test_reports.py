@@ -1,8 +1,10 @@
-"""Which route answers decompose_report and oracle_report, and its fallbacks.
+"""Which route answers the reports, and its fallbacks.
 
 Bit identities answer for the true build_m(n) and build_l_oracle(k); any
 matrix they do not certify must get the permutation search's answer, and a
-matrix with an unidentified component the whole-matrix rank.
+matrix with an unidentified component the whole-matrix rank. In
+construction_report one flip of build_a answers for a cell whose build_b is
+its complement; any other build_b is flipped on its own.
 """
 
 import random
@@ -10,7 +12,15 @@ import random
 import pytest
 
 import reference
-from altmat import BitMatrix, build_l_oracle, build_m, decompose_blocks, exact_rank, reports
+from altmat import (
+    BitMatrix,
+    build_b,
+    build_l_oracle,
+    build_m,
+    decompose_blocks,
+    exact_rank,
+    reports,
+)
 from altmat import incidence
 
 
@@ -100,3 +110,45 @@ def test_oracle_report_searches_when_the_identity_fails(monkeypatch):
     assert len(calls) == 2
     assert report["ok"] is True
     assert all(e["equivalent"] for e in report["entries"])
+
+
+def test_construction_report_flips_each_cell_once(monkeypatch):
+    flips = spy(monkeypatch, reports, "flip_transpose")
+
+    def no_col_sums(self):
+        raise AssertionError("col_sums called")
+
+    monkeypatch.setattr(BitMatrix, "col_sums", no_col_sums)
+    report = reports.construction_report(5, 4)
+    assert report["ok"] is True
+    assert len(flips) == 20
+    assert all(c["complement_ok"] and c["col_sums_ok"] for c in report["cells"])
+
+
+def test_construction_report_flips_a_member_that_is_not_the_complement(monkeypatch):
+    clean = reports.construction_report(5, 5)
+    b = build_b(3, 4)
+    # one bit flipped in a middle row, so that every row must be compared
+    i = b.rows // 2
+    bad = BitMatrix(b.rows, b.cols, b.bits[:i] + (b.bits[i] ^ 1 << b.cols // 2,) + b.bits[i + 1 :])
+    monkeypatch.setattr(
+        reports, "build_b", lambda k, ell: bad if (k, ell) == (3, 4) else build_b(k, ell)
+    )
+    flips = spy(monkeypatch, reports, "flip_transpose")
+    report = reports.construction_report(5, 5)
+    # one flip per cell, and one more of the perturbed member
+    assert len(flips) == 26
+    assert [m for (m,) in flips].count(bad) == 1
+    assert report["ok"] is False
+    changed = {}
+    for before, after in zip(clean["cells"], report["cells"]):
+        if before != after:
+            changed[after["k"], after["ell"]] = {
+                key: (before[key], after[key]) for key in before if before[key] != after[key]
+            }
+    # the cell reads its own flip of b against build_b(4, 3), and its mirror
+    # reads the complement of its flip of a against the perturbed build_b(3, 4)
+    assert changed == {
+        (3, 4): {"complement_ok": (True, False), "flip_ok": (True, False)},
+        (4, 3): {"flip_ok": (True, False)},
+    }
