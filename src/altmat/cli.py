@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 
 from . import bitmatrix
 from .bitmatrix import BitMatrix
-from .codes import make_code
+from .codes import code_dims, make_code
 from .encoder import (
     GapSystemInconsistent,
     encode,
@@ -139,9 +138,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    if args.k >= 3:  # a smaller k is left to make_code's own error
-        n0 = comb(2 * args.k - 3, args.k - 2)
-        _check_size(f"code {args.action} --k {args.k}", (n0, 2 * n0))
+    _check_size(f"code {args.action} --k {args.k}", code_dims(args.k))
     if args.action == "gen":
         code = make_code(args.k, args.variant)
         _emit(export_matrix(code.generator, args.format), args.out)

@@ -137,11 +137,17 @@ class MinDistanceResult:
     bound: int
 
 
-def make_code(k: int, variant: str) -> CodePair:
-    """[2*n0, n0] code pair for n0 = C(2k-3, k-2); variant 'sparse' or 'dense'."""
+def code_dims(k: int) -> tuple[int, int]:
+    """Order of make_code(k, ·)'s generator and parity: (n0, 2*n0), n0 = C(2k-3, k-2)."""
     if k < 3:
         raise ValueError("need k >= 3")
     n0 = comb(2 * k - 3, k - 2)
+    return n0, 2 * n0
+
+
+def make_code(k: int, variant: str) -> CodePair:
+    """[2*n0, n0] code pair for n0 = C(2k-3, k-2); variant 'sparse' or 'dense'."""
+    n0, _ = code_dims(k)
     if variant == "sparse":
         core = build_a(k - 1, k - 1)
         gen = compose([BitMatrix.identity(n0), core])

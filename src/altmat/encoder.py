@@ -13,11 +13,13 @@ fails loudly if any basis system is inconsistent.
 
 Encoding is linear, so the encoder also keeps the generator rows: row j is
 the codeword of unit message j, (B·p1 + A·e_j | p1 | e_j) with p1 the
-particular solution for e_j. They are built in bulk as
-(particular · Bᵀ + Aᵀ | particular | I), and a codeword is the XOR of the
-rows its message selects, read from the generator's subset-XOR tables one
-lookup per four message bits. Verification is the same kind of lookup,
-build_a(k, ell) · x from the column tables held on the cached matrix.
+particular solution for e_j. With Y = (particular | I), whose row j is
+(p1 | e_j), they are built in bulk as (Y · Xᵀ | Y), one product for the
+whole tail X = (B | A), just as the gap system is the one product
+T·X = (T·B | T·A). A codeword is the XOR of the rows its message selects,
+read from the generator's subset-XOR tables one lookup per four message
+bits. Verification is the same kind of lookup, build_a(k, ell) · x from
+the column tables held on the cached matrix.
 """
 
 from __future__ import annotations
@@ -127,11 +129,12 @@ def make_encoder(k: int, ell: int) -> Encoder:
 
 
 def encoder_from_partition(part: Partition) -> Encoder:
-    b, a = part.b, part.a
-    phi = gf2_mul(part.top, b)
-    rhs = gf2_mul(part.top, a)
     g, s = part.gap, part.message_len
-    basis = gf2_basis([pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits)])
+    # T·X = (T·B | T·A) bit for bit: the gap matrix beside the right-hand sides
+    system = gf2_mul(part.top, part.tail).bits
+    mask = (1 << g) - 1
+    phi = BitMatrix(part.top.rows, g, tuple(w & mask for w in system))
+    basis = gf2_basis(system)
     # a member whose lowest bit is a message bit is zero on the gap columns
     # but not on the right-hand side; the lowest such bit is the first basis
     # message without a solution
@@ -143,13 +146,12 @@ def encoder_from_partition(part: Partition) -> Encoder:
     for w in gf2_rref(basis):
         tails[(w & -w).bit_length() - 1] = w >> g
     particular = BitMatrix(g, s, tuple(tails)).transpose()
-    # row j: (B·p1 + A·e_j | p1 | e_j) for p1 = particular row j
+    # y_j = (p1 | e_j) for p1 = particular row j, so X·y_j = B·p1 + A·e_j
+    # and row j is (X·y_j | y_j)
+    ys = tuple(p1w | 1 << (g + j) for j, p1w in enumerate(particular.bits))
+    p2 = gf2_mul(BitMatrix(s, g + s, ys), part.tail.transpose())
     n2 = part.glue.cols
-    p2 = gf2_mul(particular, b.transpose()).xor(a.transpose())
-    generator = tuple(
-        p2w | p1w << n2 | 1 << (n2 + g + j)
-        for j, (p2w, p1w) in enumerate(zip(p2.bits, particular.bits))
-    )
+    generator = tuple(p2w | y << n2 for p2w, y in zip(p2.bits, ys))
     return Encoder(part, phi, particular.bits, generator, xor_tables(generator))
 
 

@@ -225,6 +225,7 @@ def test_wrong_length_message_is_refused_before_building(monkeypatch, capsys):
 def test_invalid_parameters_keep_their_messages(capsys):
     for argv, message in [
         (("code", "gen", "--k", "2"), "need k >= 3"),
+        (("code", "weights", "--k", "2", "--variant", "dense"), "need k >= 3"),
         (("encode", "--k", "3", "--l", "1", "--message", "1"), "no partition for ell < 2"),
         (("encode", "--k", "0", "--l", "2", "--message", "1"), "nonpositive for ell >= k"),
         (("decompose", "--n", "3"), "need n >= 4"),

@@ -63,10 +63,22 @@ def test_make_code_k4_parameters():
 
 
 def test_make_code_rejects_small_k_and_bad_variant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k >= 3"):
+        codes.code_dims(2)
+    with pytest.raises(ValueError, match="need k >= 3"):
         make_code(2, "sparse")
     with pytest.raises(ValueError):
         make_code(4, "other")
+
+
+@pytest.mark.parametrize("variant", ["sparse", "dense"])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_code_dims_are_the_shape_of_make_code(k, variant):
+    code = make_code(k, variant)
+    dims = codes.code_dims(k)
+    assert dims == (code.n0, 2 * code.n0)
+    assert (code.generator.rows, code.generator.cols) == dims
+    assert (code.parity.rows, code.parity.cols) == dims
 
 
 def test_code_pair_shape_validation():

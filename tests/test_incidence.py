@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 
@@ -287,20 +288,28 @@ def switched(m, rng):
 def library_partitions(a, b, row_a=None, row_b=None):
     """Stable partitions of a and b, as sets of classes, or None if they part ways.
 
-    Refinement starts from rows against columns; given row_a and row_b, the
-    stable result is refined again with those rows individualized, as the
-    search does.
+    The library refines one partition of a's vertices followed by b's; each
+    class is returned as its a-members and its b-members, shifted back, in
+    one set per side. Refinement starts from rows against columns; given
+    row_a and row_b, the stable result is refined again with those rows
+    individualized, as the search does.
     """
-    adj_a, adj_b = incidence._vertex_adjacency(a), incidence._vertex_adjacency(b)
-    state = incidence._root(a.rows, a.cols)
+    n = a.rows + a.cols
+    adj_b = incidence._vertex_adjacency(b)
+    adj = incidence._vertex_adjacency(a) + [[n + u for u in s] for s in adj_b]
+    state = incidence._root(n, a.rows)
     if row_a is not None:
-        if not incidence._refine(adj_a, adj_b, *state):
+        if not incidence._refine(adj, n, *state):
             return None
-        state = incidence._child(state, row_a, row_b)
-    if not incidence._refine(adj_a, adj_b, *state):
+        state = incidence._child(state, row_a, n + row_b)
+    if not incidence._refine(adj, n, *state):
         return None
     # a row that was a class of its own leaves its old class empty
-    return {frozenset(c) for c in state[1] if c}, {frozenset(c) for c in state[3] if c}
+    classes = [c for c in state[1] if c]
+    return (
+        {frozenset(u for u in c if u < n) for c in classes},
+        {frozenset(u - n for u in c if u >= n) for c in classes},
+    )
 
 
 def reference_partitions(a, b, row_a=None, row_b=None):
@@ -325,6 +334,15 @@ def reference_partitions(a, b, row_a=None, row_b=None):
         return {frozenset(c) for c in out.values()}
 
     return classes(*stable[:2]), classes(*stable[2:])
+
+
+def test_refinement_parts_ways_on_untouched_b_vertices():
+    # b is all zeros, so no splitter touches a b-vertex: a part of a-vertices
+    # alone must end the refinement, whichever side has the ones
+    a, zero = BitMatrix.from_rows([[0, 1, 0], [1, 0, 0]]), BitMatrix(2, 3, (0, 0))
+    for pair in ((a, zero), (zero, a)):
+        assert reference_partitions(*pair) is None
+        assert library_partitions(*pair) is None
 
 
 def brute_force_equivalent(a, b):
@@ -394,8 +412,8 @@ def test_verdicts_on_shuffled_family_members_match_reference(build, k, ell, swit
     assert check_verdict(m, partner) or switch
 
 
-def components(m):
-    """The connected components of m's row-column graph, rows and columns in index order."""
+def component_indices(m):
+    """Rows and columns of each component of m's row-column graph, in index order."""
     rows, cols = m.supports(), column_supports(m.supports(), m.cols)
     seen, out = set(), []
     for start in range(m.rows):
@@ -410,8 +428,13 @@ def components(m):
                     todo.extend(r for r in cols[j] if r not in comp_rows)
                     comp_rows.update(cols[j])
         seen |= comp_rows
-        out.append(reference.submatrix(m, sorted(comp_rows), sorted(comp_cols)))
+        out.append((sorted(comp_rows), sorted(comp_cols)))
     return out
+
+
+def components(m):
+    """The connected components of m's row-column graph, rows and columns in index order."""
+    return [reference.submatrix(m, rows, cols) for rows, cols in component_indices(m)]
 
 
 BUILD_M_COMPONENTS = sorted(
@@ -489,15 +512,15 @@ def test_decompose_row_and_column_totals_reconcile():
 
 
 def count_searches(monkeypatch):
-    """Record decompose_blocks' calls to the permutation search."""
+    """Record the calls to the permutation search."""
     calls = []
-    real = incidence.permutation_equivalent
+    real = incidence.bipartite_isomorphism
 
     def wrapper(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(incidence, "permutation_equivalent", wrapper)
+    monkeypatch.setattr(incidence, "bipartite_isomorphism", wrapper)
     return calls
 
 
@@ -507,6 +530,19 @@ def test_build_m_components_are_the_blocks_bit_for_bit(monkeypatch, n):
     rep = decompose_blocks(build_m(n))
     assert rep.unidentified == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("m", [build_a(4, 3), build_m(4)], ids=["a_4_3", "m_4"])
+def test_equal_matrices_need_no_search_and_still_have_a_witness(monkeypatch, m):
+    copy = BitMatrix(m.rows, m.cols, tuple(m.bits))
+    calls = count_searches(monkeypatch)
+    assert permutation_equivalent(m, copy)
+    assert calls == []
+    found = incidence.bipartite_isomorphism(m, m)
+    assert len(calls) == 1
+    rp, cp = found
+    assert sorted(rp) == list(range(m.rows)) and sorted(cp) == list(range(m.cols))
+    assert reference.submatrix(m, rp, cp) == m
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -519,6 +555,55 @@ def test_permuted_build_m_is_identified_by_the_search(monkeypatch, n):
     calls = count_searches(monkeypatch)
     assert decompose_blocks(reference.submatrix(m, rows, cols)) == decompose_blocks(m)
     assert calls
+
+
+def reference_decomposition(m):
+    """(blocks, zero_columns, unidentified) from component_indices and the reference search."""
+    labels, unidentified = Counter(), 0
+    for rows, cols in component_indices(m):
+        dims = (len(rows), len(cols))
+        j = next((j for j in range(2, 6) if l_oracle_dims(j) == dims), None)
+        if j is not None and reference.bipartite_isomorphism(
+            reference.submatrix(m, rows, cols), build_a(j, j - 1)
+        ):
+            labels[f"L_{j}"] += 1
+        else:
+            unidentified += 1
+    zero_columns = sum(1 for s in reference.col_sums(m) if s == 0)
+    return dict(sorted(labels.items())), zero_columns, unidentified
+
+
+@st.composite
+def scattered_blocks(draw, side=8):
+    """Up to three shuffled inclusion blocks and one random row, at most side x side.
+
+    The blocks are build_a(3, 2) and build_a(2, 1) in rows and columns of
+    their own, and the random row may join some of them. Rows and columns
+    left over stay zero, so zero rows, zero columns and components that
+    are, or nearly are, inclusion matrices all turn up.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(side // 2, side)), draw(st.integers(side // 2, side))
+    free_rows, free_cols = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+    words = [0] * rows
+    blocks = st.lists(st.sampled_from((build_a(3, 2), build_a(2, 1))), min_size=1, max_size=3)
+    for block in draw(blocks):
+        if block.rows > len(free_rows) or block.cols > len(free_cols):
+            continue
+        rs, cs = free_rows[: block.rows], free_cols[: block.cols]
+        del free_rows[: block.rows], free_cols[: block.cols]
+        for r, support in zip(rs, block.supports()):
+            words[r] = sum(1 << cs[j] for j in support)
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=1)):
+        words[r] |= rng.getrandbits(cols) & rng.getrandbits(cols)
+    return BitMatrix(rows, cols, tuple(words))
+
+
+@settings(max_examples=300)
+@given(st.one_of(bit_matrices(max_rows=8, max_cols=8), scattered_blocks()))
+def test_decompose_blocks_matches_the_reference_components(m):
+    rep = decompose_blocks(m)
+    assert (rep.blocks, rep.zero_columns, rep.unidentified) == reference_decomposition(m)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
