@@ -15,7 +15,6 @@ from .codes import (
     CodePair,
     GleasonFit,
     IsodualWitness,
-    MinDistanceResult,
     WeightEnumerator,
     ZeroCodeError,
     distance_bound,
@@ -23,7 +22,6 @@ from .codes import (
     is_parity_check,
     isodual_witness,
     make_code,
-    min_distance,
     weight_enumerator,
 )
 from .encoder import (

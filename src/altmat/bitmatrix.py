@@ -300,11 +300,6 @@ class BitMatrix:
 
     # -- element access ----------------------------------------------------
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.bits[i] >> j) & 1
-
     def supports(self) -> list[list[int]]:
         """Column indices of the ones in every row, each list ascending."""
         return [bit_support(w, self.cols) for w in self.bits]
@@ -337,13 +332,6 @@ class BitMatrix:
         """All-ones matrix of the same shape minus self."""
         mask = (1 << self.cols) - 1
         return BitMatrix(self.rows, self.cols, tuple(w ^ mask for w in self.bits))
-
-    def xor(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return BitMatrix(
-            self.rows, self.cols, tuple(a ^ b for a, b in zip(self.bits, other.bits))
-        )
 
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.bits)

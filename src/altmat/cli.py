@@ -68,22 +68,23 @@ def _check_size(request: str, dims: tuple[int, int]) -> None:
 
 
 def _gen_matrix(args) -> BitMatrix:
-    if args.family in ("a", "b"):
-        if args.k is None or args.l is None:
-            raise ValueError("gen a|b requires --k and --l")
-        _check_size(f"gen {args.family} --k {args.k} --l {args.l}", dims_of(args.k, args.l))
-        return build_a(args.k, args.l) if args.family == "a" else build_b(args.k, args.l)
-    if args.family == "lk":
-        if args.k is None:
-            raise ValueError("gen lk requires --k")
-        _check_size(f"gen lk --k {args.k}", l_oracle_dims(args.k))
-        return build_l_oracle(args.k)
-    if args.k is not None or args.l is not None:
-        raise ValueError("gen m takes only --n")
-    if args.n is None:
-        raise ValueError("gen m requires --n")
-    _check_size(f"gen m --n {args.n}", m_dims(args.n))
-    return build_m(args.n)
+    # each family's flags, the order of its member and its builder, read from
+    # the module's names at each call
+    flags, dims, build = {
+        "a": (("k", "l"), dims_of, build_a),
+        "b": (("k", "l"), dims_of, build_b),
+        "lk": (("k",), l_oracle_dims, build_l_oracle),
+        "m": (("n",), m_dims, build_m),
+    }[args.family]
+    named = " and ".join(f"--{flag}" for flag in flags)
+    if any(getattr(args, flag) is not None for flag in ("k", "l", "n") if flag not in flags):
+        raise ValueError(f"gen {args.family} takes only {named}")
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise ValueError(f"gen {args.family} requires {named}")
+    given = " ".join(f"--{flag} {val}" for flag, val in zip(flags, values))
+    _check_size(f"gen {args.family} {given}", dims(*values))
+    return build(*values)
 
 
 def _summary(m: BitMatrix) -> dict:

@@ -3,9 +3,10 @@
 The sparse code has generator (I | A) and check matrix (A^T | I) with
 A = build_a(k-1, k-1), a square persymmetric matrix of order
 n0 = C(2k-3, k-2); the dense variant uses (J-I | B) and (B^T | I) with
-B the complement family member. Weight enumerators and minimum distances
-are computed by exact enumeration at desk scale, the weights of thousands
-of codewords at a time in bit-sliced counters. Fits against the Gleason
+B the complement family member. Weight enumerators are computed by exact
+enumeration at desk scale, the weights of thousands of codewords at a time
+in bit-sliced counters; the minimum distance is read off the enumerator
+(``WeightEnumerator.min_distance``), beside ``distance_bound(n0)``. Fits against the Gleason
 generators g1 = y^2+x^2 and g2 = x^2y^2(x^2-y^2)^2 solve a unitriangular
 integer system by forward substitution, with no rational arithmetic.
 
@@ -69,9 +70,7 @@ class CodePair:
 
     generator: BitMatrix
     parity: BitMatrix
-    n0: int
     variant: str
-    k: int
 
     def __post_init__(self) -> None:
         shape = (self.generator.rows, self.generator.cols)
@@ -83,6 +82,11 @@ class CodePair:
             )
         if self.variant not in ("sparse", "dense"):
             raise ValueError("variant must be 'sparse' or 'dense'")
+
+    @property
+    def n0(self) -> int:
+        """The code's dimension target: the generator's row count."""
+        return self.generator.rows
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,6 @@ class GleasonFit:
     residual: tuple[tuple[int, int], ...] | None
 
 
-@dataclass(frozen=True)
-class MinDistanceResult:
-    distance: int
-    bound: int
-
-
 def code_dims(k: int) -> tuple[int, int]:
     """Order of make_code(k, ·)'s generator and parity: (n0, 2*n0), n0 = C(2k-3, k-2)."""
     if k < 3:
@@ -158,7 +156,7 @@ def make_code(k: int, variant: str) -> CodePair:
         par = compose([core.transpose(), BitMatrix.identity(n0)])
     else:
         raise ValueError("variant must be 'sparse' or 'dense'")
-    return CodePair(gen, par, n0, variant, k)
+    return CodePair(gen, par, variant)
 
 
 def is_parity_check(code: CodePair) -> ParityCheckResult:
@@ -199,12 +197,6 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
     return IsodualWitness(sigma, ok, counterexample)
 
 
-def _generator_of(code_or_matrix: CodePair | BitMatrix) -> BitMatrix:
-    if isinstance(code_or_matrix, CodePair):
-        return code_or_matrix.generator
-    return code_or_matrix
-
-
 def weight_enumerator(code: CodePair | BitMatrix) -> WeightEnumerator:
     """Exact codeword-weight histogram, counted bit-sliced over the row space.
 
@@ -220,7 +212,7 @@ def weight_enumerator(code: CodePair | BitMatrix) -> WeightEnumerator:
     combinations by the next bit of their weight, so its cost grows with
     the number of weights present and not with 2^b.
     """
-    gen = _generator_of(code)
+    gen = code.generator if isinstance(code, CodePair) else code
     basis = list(gf2_basis(gen.bits).values())
     dim = len(basis)
     if dim > ENUMERATION_LIMIT:
@@ -320,13 +312,3 @@ def gleason_fit(w: WeightEnumerator, n0: int) -> GleasonFit:
 def distance_bound(n0: int) -> int:
     """Reference ceiling on the minimum distance of the [2*n0, n0] codes."""
     return 2 * (n0 // 4) + 2 if n0 <= 30 else 2 * (n0 // 4)
-
-
-def min_distance(code: CodePair | BitMatrix) -> MinDistanceResult:
-    """Exact minimum nonzero codeword weight, with the reference bound.
-
-    Raises ZeroCodeError when the generator spans only the zero word.
-    """
-    gen = _generator_of(code)
-    n0 = code.n0 if isinstance(code, CodePair) else gen.cols // 2
-    return MinDistanceResult(weight_enumerator(gen).min_distance(), distance_bound(n0))

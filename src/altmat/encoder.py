@@ -57,7 +57,7 @@ class GapSystemInconsistent(ValueError):
 
 @dataclass(frozen=True)
 class Partition(Fragmentation):
-    """fragment_a(k, ell) with its tail cut as (b | a) after ``gap`` columns."""
+    """fragment_a(k, ell) with the ``gap`` after which its tail splits as (B | A)."""
 
     k: int
     ell: int
@@ -66,16 +66,6 @@ class Partition(Fragmentation):
     @property
     def message_len(self) -> int:
         return self.tail.cols - self.gap
-
-    @property
-    def b(self) -> BitMatrix:
-        mask = (1 << self.gap) - 1
-        return BitMatrix(self.tail.rows, self.gap, tuple(w & mask for w in self.tail.bits))
-
-    @property
-    def a(self) -> BitMatrix:
-        words = tuple(w >> self.gap for w in self.tail.bits)
-        return BitMatrix(self.tail.rows, self.message_len, words)
 
 
 def split_sizes(k: int, ell: int) -> tuple[int, int]:

@@ -107,6 +107,6 @@ def fragment_a(k: int, ell: int) -> Fragmentation:
     if k < 2 or ell < 2:
         raise ValueError("fragmentation requires k >= 2 and ell >= 2")
     top = build_a(k, ell - 1)
-    glue = BitMatrix.identity(comb(k + ell - 2, ell - 1))
+    glue = BitMatrix.identity(top.cols)
     tail = build_a(k - 1, ell)
     return Fragmentation(top, glue, tail)

@@ -40,7 +40,7 @@ from math import comb
 from operator import itemgetter
 
 from .bitmatrix import BitMatrix, column_supports
-from .families import build_a
+from .families import build_a, dims_of
 
 
 def index_set(ell: int, m: int) -> list[tuple[int, ...]]:
@@ -56,10 +56,10 @@ def symplectic_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def l_oracle_dims(k: int) -> tuple[int, int]:
-    """Order of build_l_oracle(k): (C(2k-2, k-2), C(2k-2, k-1))."""
+    """Order of build_l_oracle(k), which equals build_a(k, k-1) bit for bit."""
     if k < 2:
         raise ValueError("need k >= 2")
-    return comb(2 * k - 2, k - 2), comb(2 * k - 2, k - 1)
+    return dims_of(k, k - 1)
 
 
 def m_dims(n: int) -> tuple[int, int]:

@@ -12,8 +12,10 @@ bit-sliced counters, and ``colour_refine`` rebuilds and sorts every vertex's
 neighbour-colour key in every round instead of re-keying only the neighbours
 of a queued splitter class, and ``build_a_by_blocks``/``build_b_by_blocks``
 stack a matrix for every block of the family recursion and join the blocks
-with a fill instead of writing each member's rows directly. None of this is
-used by the library.
+with a fill instead of writing each member's rows directly. ``tail_split``
+cuts an encoder partition's tail as (B | A), which the library never does:
+it reads the whole tail in one product. None of this is used by the
+library.
 """
 
 from collections import Counter
@@ -214,10 +216,19 @@ def gf2_solve(a, rhs):
     return tuple(x)
 
 
+def tail_split(part):
+    """The encoder partition's tail X cut as (B, A) after its gap columns."""
+    mask = (1 << part.gap) - 1
+    b = BitMatrix(part.tail.rows, part.gap, tuple(w & mask for w in part.tail.bits))
+    a = BitMatrix(part.tail.rows, part.message_len, tuple(w >> part.gap for w in part.tail.bits))
+    return b, a
+
+
 def encoder_fields(part):
     """(particular, generator rows) of the gap encoder, or the exception."""
-    phi = gf2_mul(part.top, part.b)
-    rhs = gf2_mul(part.top, part.a)
+    b, a = tail_split(part)
+    phi = gf2_mul(part.top, b)
+    rhs = gf2_mul(part.top, a)
     g, s = part.gap, part.message_len
     aug = [pw | (rw << g) for pw, rw in zip(phi.bits, rhs.bits)]
     words, pivots = gf2_eliminate(aug, g)
@@ -240,7 +251,7 @@ def encoder_fields(part):
     generator = []
     for j, p1 in enumerate(particular):
         p2 = 0
-        for i, (bw, aw) in enumerate(zip(part.b.bits, part.a.bits)):
+        for i, (bw, aw) in enumerate(zip(b.bits, a.bits)):
             p2 |= (((bw & p1).bit_count() + (aw >> j)) & 1) << i
         generator.append(p2 | p1 << n2 | 1 << (n2 + g + j))
     return tuple(particular), tuple(generator)
@@ -248,6 +259,7 @@ def encoder_fields(part):
 
 def encode(enc, message):
     part = enc.partition
+    b, a = tail_split(part)
     s_word = 0
     p1 = 0
     for i, bit in enumerate(message):
@@ -255,9 +267,9 @@ def encode(enc, message):
             s_word |= 1 << i
             p1 ^= enc.particular[i]
     p2 = 0
-    for i, w in enumerate(part.b.bits):
+    for i, w in enumerate(b.bits):
         p2 |= ((w & p1).bit_count() & 1) << i
-    for i, w in enumerate(part.a.bits):
+    for i, w in enumerate(a.bits):
         p2 ^= ((w & s_word).bit_count() & 1) << i
     out = []
     out.extend((p2 >> i) & 1 for i in range(part.glue.cols))
@@ -390,7 +402,8 @@ def encode_by_parts(enc, message):
     for j, row in enumerate(enc.particular):
         if (s_word >> j) & 1:
             p1 ^= row
-    p2 = gf2_matvec(part.b, p1) ^ gf2_matvec(part.a, s_word)
+    b, a = tail_split(part)
+    p2 = gf2_matvec(b, p1) ^ gf2_matvec(a, s_word)
     n2, g = part.glue.cols, part.gap
     return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
 

@@ -20,6 +20,7 @@ from altmat import (
     build_m,
     decompose_blocks,
     dims_of,
+    distance_bound,
     encode,
     exact_rank,
     export_matrix,
@@ -27,11 +28,11 @@ from altmat import (
     fragment_a,
     gleason_fit,
     import_matrix,
+    inclusion_matrix,
     is_parity_check,
     isodual_witness,
     make_code,
     make_encoder,
-    min_distance,
     permutation_equivalent,
     verify_codeword,
     weight_enumerator,
@@ -54,7 +55,8 @@ def test_criterion_1_construction_suite():
         assert (a.rows, a.cols) == dims_of(k, ell)
         assert set(a.row_sums()) == {k}
         assert set(a.col_sums()) == {ell}
-        assert a.xor(b) == BitMatrix.ones(a.rows, a.cols)
+        assert b == a.complement()
+        assert a == inclusion_matrix(ell - 1, k + ell - 1)
         assert flip_transpose(a) == build_a(ell, k)
         if ell >= 2:
             n = comb(k + ell - 2, ell - 1)
@@ -125,7 +127,7 @@ def test_criterion_5_sparse_codes():
 
     c3 = make_code(3, "sparse")
     assert weight_enumerator(c3).as_dict() == {0: 1, 3: 4, 4: 3}
-    assert min_distance(c3).distance == 3
+    assert weight_enumerator(c3).min_distance() == 3
 
     c4 = make_code(4, "sparse")
     pc = is_parity_check(c4)
@@ -137,8 +139,8 @@ def test_criterion_5_sparse_codes():
     fit = gleason_fit(w4, 10)
     assert fit.exact
     assert fit.a[0] == 1
-    d4 = min_distance(c4)
-    assert d4.distance <= 6
+    d4 = w4.min_distance()
+    assert d4 <= distance_bound(c4.n0) == 6
 
     assert isodual_witness(make_code(6, "sparse")).ok
 
@@ -148,7 +150,7 @@ def test_criterion_5_sparse_codes():
         5,
         True,
         f"k=3 enumerator and d=3; k=4 even isodual code with exact unit-leading fit "
-        f"{fit.a} and d={d4.distance} <= 6; k=6 certificate ({elapsed:.2f}s)",
+        f"{fit.a} and d={d4} <= 6; k=6 certificate ({elapsed:.2f}s)",
     )
 
 

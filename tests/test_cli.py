@@ -42,6 +42,24 @@ def test_gen_usage_errors(capsys):
     assert code == 2
 
 
+def test_gen_refuses_flags_its_family_ignores(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("built despite a stray flag")
+
+    for name in ("build_a", "build_b", "build_l_oracle", "build_m"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, message in [
+        (("a", "--k", "3", "--l", "2", "--n", "7", "--report"), "gen a takes only --k and --l"),
+        (("a", "--k", "3", "--l", "2", "--n", "7"), "gen a takes only --k and --l"),
+        (("b", "--k", "3", "--l", "2", "--n", "7"), "gen b takes only --k and --l"),
+        (("lk", "--k", "3", "--l", "9"), "gen lk takes only --k"),
+        (("lk", "--k", "3", "--n", "4"), "gen lk takes only --k"),
+        (("m", "--n", "4", "--k", "2"), "gen m takes only --n"),
+    ]:
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+
 def test_verify_grid_passes_and_is_byte_stable(capsys):
     code, out1, _ = run(capsys, "verify", "--grid", "4", "4")
     assert code == 0

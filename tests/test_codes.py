@@ -15,7 +15,6 @@ from altmat import (
     is_parity_check,
     isodual_witness,
     make_code,
-    min_distance,
     weight_enumerator,
 )
 
@@ -39,7 +38,7 @@ def naive_enumerator(gen: BitMatrix) -> dict[int, int]:
 
 def toy_repetition_code() -> CodePair:
     g = BitMatrix.from_rows([[1, 1]])
-    return CodePair(g, g, 1, "sparse", 0)
+    return CodePair(g, g, "sparse")
 
 
 # -- construction -----------------------------------------------------------------
@@ -84,17 +83,22 @@ def test_code_dims_are_the_shape_of_make_code(k, variant):
 def test_code_pair_shape_validation():
     g = BitMatrix.from_rows([[1, 1]])
     with pytest.raises(ValueError):
-        CodePair(g, BitMatrix.from_rows([[1, 1, 0]]), 1, "sparse", 0)
+        CodePair(g, BitMatrix.from_rows([[1, 1, 0]]), "sparse")
 
 
 def test_code_pair_rejects_a_shape_other_than_n0_by_2n0():
     # equal shapes, but 1 x 3 is no [2, 1] code: the parity check and the
     # enumerator would answer for a code of another length
     g = BitMatrix.from_rows([[1, 1, 0]])
-    with pytest.raises(ValueError, match=r"1 x 3 .* n0 = 1"):
-        CodePair(g, g, 1, "sparse", 0)
-    with pytest.raises(ValueError, match=r"2 x 4 .* n0 = 1"):
-        CodePair(BitMatrix.zeros(2, 4), BitMatrix.zeros(2, 4), 1, "dense", 0)
+    with pytest.raises(ValueError, match=r"1 x 3 is not n0 x 2\*n0 for n0 = 1"):
+        CodePair(g, g, "sparse")
+
+
+def test_code_pair_n0_is_the_generator_row_count():
+    pair = CodePair(BitMatrix.zeros(2, 4), BitMatrix.zeros(2, 4), "dense")
+    assert pair.n0 == 2
+    with pytest.raises(ValueError, match="variant must be 'sparse' or 'dense'"):
+        CodePair(BitMatrix.zeros(2, 4), BitMatrix.zeros(2, 4), "other")
 
 
 # -- duality ---------------------------------------------------------------------
@@ -145,13 +149,13 @@ def test_isodual_rejects_a_width_other_than_2n0():
     # the reversal is of all 2 * n0 coordinates, so a wider row has no image
     g = BitMatrix.from_rows([[1, 1, 0]])
     with pytest.raises(ValueError):
-        isodual_witness(CodePair(g, g, 1, "sparse", 0))
+        isodual_witness(CodePair(g, g, "sparse"))
 
 
 def test_isodual_failure_produces_a_counterexample():
     gen = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
     par = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
-    wit = isodual_witness(CodePair(gen, par, 2, "sparse", 0))
+    wit = isodual_witness(CodePair(gen, par, "sparse"))
     assert not wit.ok
     assert wit.counterexample is not None
 
@@ -258,22 +262,23 @@ def test_fit_validates_shape():
 
 
 def test_min_distance_hand_values():
-    assert min_distance(make_code(3, "sparse")).distance == 3
-    assert min_distance(toy_repetition_code()).distance == 2
+    assert weight_enumerator(make_code(3, "sparse")).min_distance() == 3
+    assert weight_enumerator(toy_repetition_code()).min_distance() == 2
 
 
 def test_min_distance_of_the_zero_code_is_a_typed_error():
     with pytest.raises(ZeroCodeError, match="no nonzero codeword") as exc:
-        min_distance(BitMatrix.zeros(2, 4))
+        weight_enumerator(BitMatrix.zeros(2, 4)).min_distance()
     assert exc.value.length == 4
     assert isinstance(exc.value, ValueError)
 
 
 def test_min_distance_k4_within_the_bound():
-    res = min_distance(make_code(4, "sparse"))
-    assert res.bound == 6
-    assert res.distance <= res.bound
-    assert res.distance == 4
+    code = make_code(4, "sparse")
+    distance, bound = weight_enumerator(code).min_distance(), distance_bound(code.n0)
+    assert bound == 6
+    assert distance <= bound
+    assert distance == 4
 
 
 def test_code_report_enumerates_each_code_once(monkeypatch):
@@ -315,9 +320,10 @@ def test_distance_bound_switches_at_length_32():
 
 def test_k3_distance_exceeds_the_even_case_bound():
     # odd row weight: the even-weight hypothesis fails and so does the bound
-    res = min_distance(make_code(3, "sparse"))
-    assert res.bound == 2
-    assert res.distance == 3 > res.bound
+    code = make_code(3, "sparse")
+    distance, bound = weight_enumerator(code).min_distance(), distance_bound(code.n0)
+    assert bound == 2
+    assert distance == 3 > bound
 
 
 def test_even_row_weights_propagate_to_all_codewords():

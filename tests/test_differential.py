@@ -323,7 +323,7 @@ def sparse_code_pairs(draw):
     n0 = draw(st.integers(1, 40))
     gen = draw(bit_matrices(min_rows=n0, max_rows=n0, min_cols=2 * n0, max_cols=2 * n0))
     par = draw(bit_matrices(min_rows=n0, max_rows=n0, min_cols=2 * n0, max_cols=2 * n0))
-    return CodePair(gen, par, n0, "sparse", 0)
+    return CodePair(gen, par, "sparse")
 
 
 def check_isodual(code):
@@ -354,11 +354,11 @@ def test_isodual_witness_across_word_boundaries(n0):
     t = [0 if i % 3 == 0 else rng.getrandbits(n0) for i in range(n0)]
     parity = BitMatrix(n0, 2 * n0, tuple(1 << i | w << n0 for i, w in enumerate(t)))
     generator = reference.submatrix(parity, range(n0), range(2 * n0 - 1, -1, -1))
-    assert check_isodual(CodePair(generator, parity, n0, "sparse", 0)).ok
+    assert check_isodual(CodePair(generator, parity, "sparse")).ok
     # flipping coordinate 0 of one generator row puts a reversed parity row
     # outside the code: (I | T) holds no word with its first half zero
     doctored = BitMatrix(n0, 2 * n0, generator.bits[:-1] + (generator.bits[-1] ^ 1,))
-    wit = check_isodual(CodePair(doctored, parity, n0, "sparse", 0))
+    wit = check_isodual(CodePair(doctored, parity, "sparse"))
     assert not wit.ok and wit.counterexample is not None
 
 

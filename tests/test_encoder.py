@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from altmat import encoder
 from altmat import (
     BitMatrix,
@@ -26,8 +27,10 @@ def test_partition_32_hand_values():
     p = partition_h(3, 2)
     assert p.top == BitMatrix.ones(1, 3)
     assert p.glue == BitMatrix.identity(3)
-    assert p.b == BitMatrix.from_rows([[1], [1], [0]])
-    assert p.a == BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    assert reference.tail_split(p) == (
+        BitMatrix.from_rows([[1], [1], [0]]),
+        BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]),
+    )
     assert p.gap == 1
     assert p.message_len == 2
 

@@ -160,7 +160,7 @@ def test_build_m_n4_entry_rule_by_brute_force():
     for i, alpha in enumerate(rows):
         for j, beta in enumerate(cols):
             extends = set(alpha) < set(beta) and set(beta) - set(alpha) in pairs
-            assert m.get(i, j) == int(extends), (alpha, beta)
+            assert (m.bits[i] >> j) & 1 == int(extends), (alpha, beta)
 
 
 def test_build_m_n5_row_weight_census():
@@ -193,7 +193,7 @@ def test_isomorphism_witness_on_a_shuffled_matrix():
     rp, cp = found
     for i in range(a.rows):
         for j in range(a.cols):
-            assert shuffled.get(i, j) == a.get(rp[i], cp[j])
+            assert (shuffled.bits[i] >> j) & 1 == (a.bits[rp[i]] >> cp[j]) & 1
 
 
 def _frame_depth():
