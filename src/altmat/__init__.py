@@ -27,10 +27,8 @@ from .codes import (
 from .encoder import (
     Encoder,
     GapSystemInconsistent,
-    Partition,
     encode,
     make_encoder,
-    partition_h,
     split_sizes,
     verify_codeword,
 )

@@ -500,12 +500,13 @@ def gf2_rank(a: BitMatrix) -> int:
 def gf2_solve(a: BitMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     """Some x with a·x = rhs over GF(2), or None when the system is inconsistent.
 
-    Free variables are pinned to 0 under leftmost-pivot order, so the
-    returned solution is deterministic.
+    Every entry of rhs must be 0 or 1. Free variables are pinned to 0 under
+    leftmost-pivot order, so the returned solution is deterministic.
     """
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length must equal the row count")
-    basis = gf2_basis([w | (int(b) & 1) << a.cols for w, b in zip(a.bits, rhs)])
+    r = pack_bits(rhs)
+    basis = gf2_basis([w | (r >> i & 1) << a.cols for i, w in enumerate(a.bits)])
     # a member whose lowest bit is the rhs column reads 0 = 1
     if (1 << a.cols) in basis:
         return None

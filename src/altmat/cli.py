@@ -13,7 +13,7 @@ import sys
 
 from . import bitmatrix
 from .bitmatrix import BitMatrix
-from .codes import code_dims, make_code
+from .codes import ENUMERATION_LIMIT, code_dims, make_code
 from .encoder import (
     GapSystemInconsistent,
     encode,
@@ -139,7 +139,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    _check_size(f"code {args.action} --k {args.k}", code_dims(args.k))
+    request = f"code {args.action} --k {args.k}"
+    n0, cols = code_dims(args.k)
+    _check_size(request, (n0, cols))
+    # both read the weight enumerator, which counts all 2^n0 codewords
+    if args.action in ("weights", "mindist") and n0 > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{request} has dimension {n0}, past the enumeration guard ({ENUMERATION_LIMIT})"
+        )
     if args.action == "gen":
         code = make_code(args.k, args.variant)
         _emit(export_matrix(code.generator, args.format), args.out)

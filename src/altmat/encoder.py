@@ -1,8 +1,8 @@
 """Encoder for the regular code checked by build_a(k, ell).
 
 The check matrix is fragment_a(k, ell)'s split [[T, 0], [I, X]], with
-T = build_a(k, ell-1) and X = build_a(k-1, ell); the encoder cuts X as
-(B | A) after g = C(k+ell-2, ell-2) columns. Writing a codeword as
+T = build_a(k, ell-1) and X = build_a(k-1, ell); the split's gap
+g = T.rows = C(k+ell-2, ell-2) cuts X as (B | A). Writing a codeword as
 (p2 | p1 | s), the bottom rows give p2 = B·p1 + A·s and the top rows reduce
 to the small gap system (T·B)·p1 = T·A·s, of order g. The gap matrix
 T·B is singular over GF(2) for every (k, ell) with this split (the all-ones
@@ -25,7 +25,6 @@ the column tables held on the cached matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .bitmatrix import (
@@ -39,37 +38,19 @@ from .bitmatrix import (
     xor_lookup,
     xor_tables,
 )
-from .families import Fragmentation, build_a, fragment_a
+from .families import Fragmentation, build_a, dims_of, fragment_a
 
 
 class GapSystemInconsistent(ValueError):
     """Some message basis vector has no codeword completion."""
 
-    def __init__(self, k: int, ell: int, basis_index: int):
-        self.k = k
-        self.ell = ell
+    def __init__(self, basis_index: int):
         self.basis_index = basis_index
-        super().__init__(
-            f"gap system for (k={k}, ell={ell}) is inconsistent at "
-            f"message basis index {basis_index}"
-        )
-
-
-@dataclass(frozen=True)
-class Partition(Fragmentation):
-    """fragment_a(k, ell) with the ``gap`` after which its tail splits as (B | A)."""
-
-    k: int
-    ell: int
-    gap: int
-
-    @property
-    def message_len(self) -> int:
-        return self.tail.cols - self.gap
+        super().__init__(f"gap system is inconsistent at message basis index {basis_index}")
 
 
 def split_sizes(k: int, ell: int) -> tuple[int, int]:
-    """(gap, message_len) of the split: (g, C(k+ell-2, ell) - g), g = C(k+ell-2, ell-2).
+    """(gap, message_len) of fragment_a(k, ell), read off its blocks' orders.
 
     Requires 2 <= ell <= k-1 so that the message block is nonempty.
     """
@@ -77,32 +58,20 @@ def split_sizes(k: int, ell: int) -> tuple[int, int]:
         raise ValueError("no partition for ell < 2")
     if ell >= k:
         raise ValueError("message length is nonpositive for ell >= k")
-    gap = comb(k + ell - 2, ell - 2)
-    return gap, comb(k + ell - 2, ell) - gap
-
-
-def partition_h(k: int, ell: int) -> Partition:
-    """fragment_a(k, ell), its tail cut after split_sizes(k, ell)'s gap.
-
-    Checks that the blocks reassemble to build_a(k, ell).
-    """
-    gap, _ = split_sizes(k, ell)
-    frag = fragment_a(k, ell)
-    part = Partition(frag.top, frag.glue, frag.tail, k, ell, gap)
-    if part.reassemble() != build_a(k, ell):
-        raise ValueError(f"fragment_a({k}, {ell}) does not reassemble to build_a({k}, {ell})")
-    return part
+    gap = dims_of(k, ell - 1)[0]
+    return gap, dims_of(k - 1, ell)[1] - gap
 
 
 @dataclass(frozen=True)
 class Encoder:
     """Precomputed gap solver: immutable and safe to share across threads.
 
+    ``partition`` is the fragment_a(k, ell) split the gap system comes from;
     ``generator_tables`` are ``xor_tables(generator)``, from which ``encode``
     reads a codeword by table lookup.
     """
 
-    partition: Partition
+    partition: Fragmentation
     phi: BitMatrix
     particular: tuple[int, ...]
     generator: tuple[int, ...]
@@ -115,10 +84,14 @@ def make_encoder(k: int, ell: int) -> Encoder:
     Raises GapSystemInconsistent naming the first basis index whose
     right-hand side falls outside the column space of the gap matrix.
     """
-    return encoder_from_partition(partition_h(k, ell))
+    split_sizes(k, ell)  # refuses a split with no message columns
+    frag = fragment_a(k, ell)
+    if frag.reassemble() != build_a(k, ell):
+        raise ValueError(f"fragment_a({k}, {ell}) does not reassemble to build_a({k}, {ell})")
+    return encoder_from_partition(frag)
 
 
-def encoder_from_partition(part: Partition) -> Encoder:
+def encoder_from_partition(part: Fragmentation) -> Encoder:
     g, s = part.gap, part.message_len
     # T·X = (T·B | T·A) bit for bit: the gap matrix beside the right-hand sides
     system = gf2_mul(part.top, part.tail).bits
@@ -130,7 +103,7 @@ def encoder_from_partition(part: Partition) -> Encoder:
     # message without a solution
     bad = min((low for low in basis if low >> g), default=0)
     if bad:
-        raise GapSystemInconsistent(part.k, part.ell, bad.bit_length() - 1 - g)
+        raise GapSystemInconsistent(bad.bit_length() - 1 - g)
     # row c of the tails holds pivot c's value across all basis messages
     tails = [0] * g
     for w in gf2_rref(basis):
@@ -140,8 +113,7 @@ def encoder_from_partition(part: Partition) -> Encoder:
     # and row j is (X·y_j | y_j)
     ys = tuple(p1w | 1 << (g + j) for j, p1w in enumerate(particular.bits))
     p2 = gf2_mul(BitMatrix(s, g + s, ys), part.tail.transpose())
-    n2 = part.glue.cols
-    generator = tuple(p2w | y << n2 for p2w, y in zip(p2.bits, ys))
+    generator = tuple(p2w | y << part.top.cols for p2w, y in zip(p2.bits, ys))
     return Encoder(part, phi, particular.bits, generator, xor_tables(generator))
 
 
@@ -156,7 +128,7 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
-    n = part.glue.cols + part.tail.cols
+    n = part.top.cols + part.tail.cols
     return unpack_bits(xor_lookup(enc.generator_tables, pack_bits(message)), n)
 
 

@@ -8,6 +8,9 @@ rather than by subtraction.
 
 Both recursions write each member's rows straight into one word list
 (``_join``), with no identity, stack or matrix made per block.
+
+``fragment_a`` states build_a's Richardson–Urbanke split [[T, 0], [I, X]]
+once, for the encoder too: a ``Fragmentation`` holds only T and X.
 """
 
 from __future__ import annotations
@@ -88,25 +91,41 @@ def build_b(k: int, ell: int) -> BitMatrix:
 
 @dataclass(frozen=True)
 class Fragmentation:
-    """Three-block split of build_a(k, ell): top over glue, joined with tail."""
+    """Split [[T, 0], [I, X]] of build_a(k, ell), held as top T and tail X.
+
+    The glue I is the identity of order top.cols, which the tail's rows must
+    match; the gap top.rows cuts the tail as X = (B | A), A message_len wide.
+    """
 
     top: BitMatrix
-    glue: BitMatrix
     tail: BitMatrix
+
+    def __post_init__(self) -> None:
+        if self.tail.rows != self.top.cols:
+            raise ValueError(f"tail has {self.tail.rows} rows, not top.cols = {self.top.cols}")
+
+    @property
+    def glue(self) -> BitMatrix:
+        return BitMatrix.identity(self.top.cols)
+
+    @property
+    def gap(self) -> int:
+        return self.top.rows
+
+    @property
+    def message_len(self) -> int:
+        return self.tail.cols - self.top.rows
 
     def reassemble(self) -> BitMatrix:
         return compose([stack(self.top, self.glue), self.tail])
 
 
 def fragment_a(k: int, ell: int) -> Fragmentation:
-    """Split build_a(k, ell) into (build_a(k, ell-1), identity, build_a(k-1, ell)).
+    """Split build_a(k, ell) into top build_a(k, ell-1) and tail build_a(k-1, ell).
 
     Only defined for k >= 2 and ell >= 2; reassembly is bit-exact.
     """
     _validate(k, ell)
     if k < 2 or ell < 2:
         raise ValueError("fragmentation requires k >= 2 and ell >= 2")
-    top = build_a(k, ell - 1)
-    glue = BitMatrix.identity(top.cols)
-    tail = build_a(k - 1, ell)
-    return Fragmentation(top, glue, tail)
+    return Fragmentation(build_a(k, ell - 1), build_a(k - 1, ell))

@@ -54,7 +54,6 @@ def construction_report(kmax: int, lmax: int) -> dict:
         for ell in range(1, lmax + 1):
             a = build_a(k, ell)
             b = build_b(k, ell)
-            corner = comb(k + ell - 2, ell - 1)
             mask = (1 << a.cols) - 1
             complement_ok = (b.rows, b.cols) == (a.rows, a.cols) and all(
                 map(mask.__eq__, map(xor, a.bits, b.bits))
@@ -73,6 +72,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
                 "flip_ok": flip_a == build_a(ell, k) and flip_b == build_b(ell, k),
             }
             if ell >= 2:
+                corner = dims_of(k, ell - 1)[1]
                 cell["corner_identity_ok"] = all(
                     a.bits[a.rows - corner + t] & ((1 << corner) - 1) == 1 << t
                     for t in range(corner)

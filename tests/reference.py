@@ -13,9 +13,9 @@ neighbour-colour key in every round instead of re-keying only the neighbours
 of a queued splitter class, and ``build_a_by_blocks``/``build_b_by_blocks``
 stack a matrix for every block of the family recursion and join the blocks
 with a fill instead of writing each member's rows directly. ``tail_split``
-cuts an encoder partition's tail as (B | A), which the library never does:
-it reads the whole tail in one product. None of this is used by the
-library.
+cuts a ``Fragmentation``'s tail as (B | A) after its gap (top.rows)
+columns, which the library never does: it reads the whole tail in one
+product. None of this is used by the library.
 """
 
 from collections import Counter
@@ -217,7 +217,7 @@ def gf2_solve(a, rhs):
 
 
 def tail_split(part):
-    """The encoder partition's tail X cut as (B, A) after its gap columns."""
+    """A fragmentation's tail X cut as (B, A) after its gap columns."""
     mask = (1 << part.gap) - 1
     b = BitMatrix(part.tail.rows, part.gap, tuple(w & mask for w in part.tail.bits))
     a = BitMatrix(part.tail.rows, part.message_len, tuple(w >> part.gap for w in part.tail.bits))
@@ -236,7 +236,7 @@ def encoder_fields(part):
     for w in words[len(pivots):]:
         bad |= w >> g
     if bad:
-        return GapSystemInconsistent(part.k, part.ell, (bad & -bad).bit_length() - 1)
+        return GapSystemInconsistent((bad & -bad).bit_length() - 1)
     particular = [0] * s
     for r, c in enumerate(pivots):
         tail = words[r] >> g
@@ -247,7 +247,7 @@ def encoder_fields(part):
             tail >>= 1
             i += 1
     # generator row j: (B·p1 + A·e_j | p1 | e_j), one parity bit at a time
-    n2 = part.glue.cols
+    n2 = part.top.cols
     generator = []
     for j, p1 in enumerate(particular):
         p2 = 0
@@ -272,7 +272,7 @@ def encode(enc, message):
     for i, w in enumerate(a.bits):
         p2 ^= ((w & s_word).bit_count() & 1) << i
     out = []
-    out.extend((p2 >> i) & 1 for i in range(part.glue.cols))
+    out.extend((p2 >> i) & 1 for i in range(part.top.cols))
     out.extend((p1 >> i) & 1 for i in range(part.gap))
     out.extend((s_word >> i) & 1 for i in range(part.message_len))
     return tuple(out)
@@ -404,7 +404,7 @@ def encode_by_parts(enc, message):
             p1 ^= row
     b, a = tail_split(part)
     p2 = gf2_matvec(b, p1) ^ gf2_matvec(a, s_word)
-    n2, g = part.glue.cols, part.gap
+    n2, g = part.top.cols, part.gap
     return unpack_bits(p2 | p1 << n2 | s_word << (n2 + g), n2 + g + part.message_len)
 
 

@@ -192,6 +192,12 @@ def test_gf2_solve_rejects_bad_rhs_length():
         gf2_solve(BitMatrix.identity(2), (1, 0, 0))
 
 
+@pytest.mark.parametrize("rhs,bad", [((2, 3), "2"), (("1", True), "'1'"), ((0.5, 1), "0.5")])
+def test_gf2_solve_refuses_an_entry_that_is_not_a_bit(rhs, bad):
+    with pytest.raises(ValueError, match=f"entry {bad} is not a bit"):
+        gf2_solve(BitMatrix.identity(2), rhs)
+
+
 @given(bit_matrices(), st.data())
 def test_gf2_solve_solutions_verify(m, data):
     rhs = tuple(data.draw(st.integers(0, 1)) for _ in range(m.rows))

@@ -227,6 +227,17 @@ def test_oversized_builds_are_refused_before_building(monkeypatch, capsys):
         assert code == 2 and out == "" and "limit of 2000 cells" in err, argv
 
 
+def test_code_weights_and_mindist_past_the_enumeration_guard_are_refused(monkeypatch, capsys):
+    # n0 = C(7, 3) = 35 at k = 5 is past codes.ENUMERATION_LIMIT = 24, so the
+    # report would have no enumerator and no distance to print
+    refuse_builds(monkeypatch)
+    for action in ("weights", "mindist"):
+        for variant in ("sparse", "dense"):
+            code, out, err = run(capsys, "code", action, "--k", "5", "--variant", variant)
+            assert code == 2 and out == "", (action, variant)
+            assert f"code {action} --k 5 has dimension 35, past the enumeration guard (24)" in err
+
+
 def test_wrong_length_message_is_refused_before_building(monkeypatch, capsys):
     # a(4, 3) has message length C(5, 3) - C(5, 1) = 5
     def refuse(*_):

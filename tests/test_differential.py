@@ -16,6 +16,7 @@ import reference
 from altmat import (
     BitMatrix,
     CodePair,
+    Fragmentation,
     GleasonFit,
     WeightEnumerator,
     build_a,
@@ -35,7 +36,7 @@ from altmat import (
 )
 from altmat.bitmatrix import gf2_basis, gf2_rref, unpack_bits
 from altmat.codes import G1, G2, _poly_mul, _poly_pow
-from altmat.encoder import GapSystemInconsistent, Partition, encode, encoder_from_partition
+from altmat.encoder import GapSystemInconsistent, encode, encoder_from_partition
 from altmat.reports import ENCODER_GRID
 from conftest import bit_matrices, random_matrix
 
@@ -271,12 +272,15 @@ def test_encoder_matches_reference(k, ell):
 
 @st.composite
 def gap_partitions(draw):
-    """Random blocks [[top, 0, 0], [glue, b, a]]; most gap systems are inconsistent."""
+    """Random blocks [[top, 0, 0], [glue, b, a]]; most gap systems are inconsistent.
+
+    b has top.rows columns, so every gap system is square.
+    """
     r = draw(st.integers(1, 8))
     top = draw(bit_matrices(max_rows=8, min_cols=r, max_cols=r))
-    b = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
+    b = draw(bit_matrices(min_rows=r, max_rows=r, min_cols=top.rows, max_cols=top.rows))
     a = draw(bit_matrices(min_rows=r, max_rows=r, max_cols=8))
-    return Partition(top, BitMatrix.identity(r), compose([b, a]), 0, 0, b.cols)
+    return Fragmentation(top, compose([b, a]))
 
 
 @settings(max_examples=50)

@@ -9,22 +9,24 @@ import reference
 from altmat import encoder
 from altmat import (
     BitMatrix,
+    Fragmentation,
     GapSystemInconsistent,
     build_a,
     encode,
+    fragment_a,
     gf2_matvec,
     make_encoder,
-    partition_h,
     split_sizes,
     verify_codeword,
 )
+from altmat.encoder import encoder_from_partition
 from altmat.reports import ENCODER_GRID
 
 GRID = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4)]
 
 
-def test_partition_32_hand_values():
-    p = partition_h(3, 2)
+def test_split_32_hand_values():
+    p = fragment_a(3, 2)
     assert p.top == BitMatrix.ones(1, 3)
     assert p.glue == BitMatrix.identity(3)
     assert reference.tail_split(p) == (
@@ -35,22 +37,22 @@ def test_partition_32_hand_values():
     assert p.message_len == 2
 
 
-def test_partition_42_hand_values():
-    p = partition_h(4, 2)
+def test_split_42_hand_values():
+    p = fragment_a(4, 2)
     assert p.gap == 1
     assert p.message_len == 5
     assert p.top == BitMatrix.ones(1, 4)
 
 
-def test_partition_43_hand_values():
-    p = partition_h(4, 3)
+def test_split_43_hand_values():
+    p = fragment_a(4, 3)
     assert p.gap == comb(5, 1) == 5
     assert p.message_len == comb(6, 3) - comb(6, 2) == 5
 
 
 @pytest.mark.parametrize("k,ell", GRID)
-def test_partition_reassembles_bit_exactly(k, ell):
-    p = partition_h(k, ell)
+def test_split_reassembles_bit_exactly(k, ell):
+    p = fragment_a(k, ell)
     assert p.reassemble() == build_a(k, ell)
     assert p.gap == comb(k + ell - 2, ell - 2)
     # the rows above the identity block vanish beyond its column range
@@ -61,8 +63,10 @@ def test_partition_reassembles_bit_exactly(k, ell):
 
 @pytest.mark.parametrize("k,ell", ENCODER_GRID)
 def test_split_sizes_are_the_partition_sizes(k, ell):
-    p = partition_h(k, ell)
+    p = fragment_a(k, ell)
     assert split_sizes(k, ell) == (p.gap, p.message_len)
+    assert p.gap == p.top.rows and p.tail.rows == p.top.cols
+    assert make_encoder(k, ell).partition == p
 
 
 def test_split_sizes_rejects_bad_parameters():
@@ -72,22 +76,22 @@ def test_split_sizes_rejects_bad_parameters():
         split_sizes(3, 3)
 
 
-def test_partition_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        partition_h(3, 1)
-    with pytest.raises(ValueError):
-        partition_h(3, 3)
-    with pytest.raises(ValueError):
-        partition_h(3, 4)
+def test_make_encoder_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="no partition for ell < 2"):
+        make_encoder(3, 1)
+    with pytest.raises(ValueError, match="nonpositive for ell >= k"):
+        make_encoder(3, 3)
+    with pytest.raises(ValueError, match="nonpositive for ell >= k"):
+        make_encoder(3, 4)
 
 
-def test_partition_rejects_stray_top_row_bit(monkeypatch):
+def test_make_encoder_rejects_stray_top_row_bit(monkeypatch):
     h = build_a(4, 3)
     # a one in the last column of the first row, past the identity block
     bits = (h.bits[0] | 1 << (h.cols - 1),) + h.bits[1:]
     monkeypatch.setattr(encoder, "build_a", lambda k, ell: BitMatrix(h.rows, h.cols, bits))
-    with pytest.raises(ValueError, match=r"build_a\(4, 3\)"):
-        partition_h(4, 3)
+    with pytest.raises(ValueError, match=r"does not reassemble to build_a\(4, 3\)"):
+        make_encoder(4, 3)
 
 
 def test_gap_matrix_rows_sum_to_zero():
@@ -172,17 +176,13 @@ def test_entries_must_be_bits():
 
 
 def test_inconsistent_gap_system_is_reported_with_an_index():
-    # doctored blocks whose gap system has no solution for basis vector 0
-    from altmat.encoder import Partition, encoder_from_partition
-
-    part = Partition(
-        top=BitMatrix.identity(2),
-        glue=BitMatrix.identity(2),
-        tail=BitMatrix.from_rows([[1, 0], [0, 1]]),  # b = [[1], [0]], a = [[0], [1]]
-        k=0,
-        ell=0,
-        gap=1,
+    # a doctored square split: T = (1 1) and X = (B | A) with B = (1 1)ᵀ,
+    # A = (1 0)ᵀ, so T·B = 0 while T·A = 1 and basis message 0 has no solution
+    part = Fragmentation(
+        top=BitMatrix.ones(1, 2),
+        tail=BitMatrix.from_rows([[1, 1], [1, 0]]),
     )
+    assert (part.gap, part.message_len) == (1, 1)
     with pytest.raises(GapSystemInconsistent) as exc:
         encoder_from_partition(part)
     assert exc.value.basis_index == 0

@@ -5,6 +5,7 @@ import pytest
 import reference
 from altmat import (
     BitMatrix,
+    Fragmentation,
     build_a,
     build_b,
     dims_of,
@@ -107,6 +108,8 @@ def test_grid_fragment_reassembles(k, ell):
     assert frag.glue == BitMatrix.identity(comb(k + ell - 2, ell - 1))
     assert frag.tail == build_a(k - 1, ell)
     assert frag.reassemble() == build_a(k, ell)
+    g = comb(k + ell - 2, ell - 2)
+    assert (frag.gap, frag.message_len) == (g, comb(k + ell - 2, ell) - g)
 
 
 def test_fragment_hand_values():
@@ -123,6 +126,12 @@ def test_fragment_hand_values():
     frag = fragment_a(4, 2)
     assert frag.top == BitMatrix.ones(1, 4)
     assert frag.glue == BitMatrix.identity(4)
+
+
+def test_fragmentation_refuses_a_tail_the_glue_cannot_sit_beside():
+    # the glue is the identity of order top.cols, so the tail needs that many rows
+    with pytest.raises(ValueError, match="tail has 2 rows, not top.cols = 3"):
+        Fragmentation(BitMatrix.ones(1, 3), BitMatrix.ones(2, 2))
 
 
 def test_fragment_rejects_degenerate_parameters():
