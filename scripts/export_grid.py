@@ -10,19 +10,29 @@ import argparse
 import pathlib
 import sys
 
-from altmat import build_a, build_b, export_matrix
+from altmat import build_a, build_b, dims_of, export_matrix
+from altmat.bitmatrix import MAX_CELLS, within_limit
 from altmat.formats import FORMATS
 
 EXT = {"alist": "alist", "matrixmarket": "mtx", "dense": "txt"}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("outdir", type=pathlib.Path)
     parser.add_argument("--kmax", type=int, default=6)
     parser.add_argument("--lmax", type=int, default=6)
     parser.add_argument("--format", choices=FORMATS, default="alist")
     args = parser.parse_args()
+    # the (kmax, lmax) cell is the grid's largest; refuse the grid before building
+    if min(args.kmax, args.lmax) < 1:
+        parser.error("--kmax and --lmax must be positive")
+    rows, cols = dims_of(args.kmax, args.lmax)
+    if not within_limit(rows, cols):
+        parser.error(
+            f"build_a({args.kmax}, {args.lmax}) would be {rows} x {cols}, "
+            f"past the limit of {MAX_CELLS} cells"
+        )
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     count = 0

@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+from altmat import dims_of
+from altmat.bitmatrix import MAX_CELLS, within_limit
 from altmat.reports import (
     code_report,
     construction_report,
@@ -21,11 +23,20 @@ from altmat.reports import (
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--kmax", type=int, default=6)
     parser.add_argument("--lmax", type=int, default=6)
     args = parser.parse_args()
+    # the (kmax, lmax) cell is the grid's largest; refuse the grid before building
+    if min(args.kmax, args.lmax) < 1:
+        parser.error("--kmax and --lmax must be positive")
+    rows, cols = dims_of(args.kmax, args.lmax)
+    if not within_limit(rows, cols):
+        parser.error(
+            f"build_a({args.kmax}, {args.lmax}) would be {rows} x {cols}, "
+            f"past the limit of {MAX_CELLS} cells"
+        )
 
     report = {
         "construction": construction_report(args.kmax, args.lmax),

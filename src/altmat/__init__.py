@@ -41,7 +41,6 @@ from .incidence import (
     build_m,
     decompose_blocks,
     inclusion_matrix,
-    index_set,
     permutation_equivalent,
     symplectic_pairs,
 )

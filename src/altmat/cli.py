@@ -67,7 +67,8 @@ def _check_size(request: str, dims: tuple[int, int]) -> None:
         )
 
 
-def _gen_matrix(args) -> BitMatrix:
+def _gen_matrix(args) -> tuple[BitMatrix, dict[str, int]]:
+    """The requested family member and the flags that named it."""
     # each family's flags, the order of its member and its builder, read from
     # the module's names at each call
     flags, dims, build = {
@@ -84,7 +85,7 @@ def _gen_matrix(args) -> BitMatrix:
         raise ValueError(f"gen {args.family} requires {named}")
     given = " ".join(f"--{flag} {val}" for flag, val in zip(flags, values))
     _check_size(f"gen {args.family} {given}", dims(*values))
-    return build(*values)
+    return build(*values), dict(zip(flags, values))
 
 
 def _summary(m: BitMatrix) -> dict:
@@ -100,15 +101,11 @@ def _summary(m: BitMatrix) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    m = _gen_matrix(args)
+    m, params = _gen_matrix(args)
     if args.report:
         report = _summary(m)
         report["family"] = args.family
-        report["params"] = {
-            key: val
-            for key, val in (("k", args.k), ("l", args.l), ("n", args.n))
-            if val is not None
-        }
+        report["params"] = params
         _emit_report(report, args.out)
     else:
         _emit(export_matrix(m, args.format), args.out)
@@ -117,9 +114,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     kmax, lmax = args.grid
-    if min(kmax, lmax) >= 1:  # an empty grid builds nothing
-        # the (kmax, lmax) cell is the grid's largest
-        _check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
+    # the (kmax, lmax) cell is the grid's largest; dims_of refuses an empty grid
+    _check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
     report = construction_report(kmax, lmax)
     if args.ranks:
         report["square_rank"] = rank_report(min(kmax, 5))
@@ -214,13 +210,15 @@ def _cmd_import(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: a flag is spelled in full or refused
     parser = argparse.ArgumentParser(
         prog="altmat",
+        allow_abbrev=False,
         description="Recursive (0,1)-matrix families, their codes, and the gap encoder.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a matrix")
+    p = sub.add_parser("gen", allow_abbrev=False, help="generate a matrix")
     p.add_argument("family", choices=("a", "b", "lk", "m"))
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
@@ -230,19 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true", help="emit a JSON summary instead")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="run the construction grid checks")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the construction grid checks")
     p.add_argument("--grid", type=int, nargs=2, metavar=("KMAX", "LMAX"), required=True)
     p.add_argument("--ranks", action="store_true", help="include rank and oracle checks")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("decompose", help="block decomposition report")
+    p = sub.add_parser("decompose", allow_abbrev=False, help="block decomposition report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--skip-rank", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("code", help="code construction and diagnostics")
+    p = sub.add_parser("code", allow_abbrev=False, help="code construction and diagnostics")
     p.add_argument("action", choices=("gen", "weights", "mindist", "isodual"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=("sparse", "dense"), default="sparse")
@@ -251,21 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity-out")
     p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("encode", help="encode a message word")
+    p = sub.add_parser("encode", allow_abbrev=False, help="encode a message word")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--message", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("export", help="convert a matrix file between formats")
+    p = sub.add_parser("export", allow_abbrev=False, help="convert a matrix file between formats")
     p.add_argument("--format", choices=FORMATS, required=True, help="output format")
     p.add_argument("--from", dest="src_format", choices=FORMATS, required=True)
     p.add_argument("--in", dest="inp", help="input path (default stdin)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("import", help="parse a matrix file and summarize it")
+    p = sub.add_parser("import", allow_abbrev=False, help="parse a matrix file and summarize it")
     p.add_argument("--format", choices=FORMATS, required=True)
     p.add_argument("--in", dest="inp", help="input path (default stdin)")
     p.add_argument("--out")

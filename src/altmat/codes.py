@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
 from operator import or_
 
 from .bitmatrix import (
@@ -35,7 +34,7 @@ from .bitmatrix import (
     gf2_reduce,
     unpack_bits,
 )
-from .families import build_a, build_b
+from .families import build_a, build_b, dims_of
 
 ENUMERATION_LIMIT = 24
 
@@ -139,7 +138,7 @@ def code_dims(k: int) -> tuple[int, int]:
     """Order of make_code(k, ·)'s generator and parity: (n0, 2*n0), n0 = C(2k-3, k-2)."""
     if k < 3:
         raise ValueError("need k >= 3")
-    n0 = comb(2 * k - 3, k - 2)
+    n0 = dims_of(k - 1, k - 1)[0]
     return n0, 2 * n0
 
 
@@ -147,16 +146,13 @@ def make_code(k: int, variant: str) -> CodePair:
     """[2*n0, n0] code pair for n0 = C(2k-3, k-2); variant 'sparse' or 'dense'."""
     n0, _ = code_dims(k)
     if variant == "sparse":
-        core = build_a(k - 1, k - 1)
-        gen = compose([BitMatrix.identity(n0), core])
-        par = compose([core.transpose(), BitMatrix.identity(n0)])
+        core, left = build_a(k - 1, k - 1), BitMatrix.identity(n0)
     elif variant == "dense":
-        core = build_b(k - 1, k - 1)
-        gen = compose([BitMatrix.hollow_ones(n0), core])
-        par = compose([core.transpose(), BitMatrix.identity(n0)])
+        core, left = build_b(k - 1, k - 1), BitMatrix.hollow_ones(n0)
     else:
         raise ValueError("variant must be 'sparse' or 'dense'")
-    return CodePair(gen, par, variant)
+    par = compose([core.transpose(), BitMatrix.identity(n0)])
+    return CodePair(compose([left, core]), par, variant)
 
 
 def is_parity_check(code: CodePair) -> ParityCheckResult:

@@ -1,11 +1,15 @@
-"""Index-tuple combinatorics, subset-inclusion matrices, and block decomposition.
+"""Index-tuple incidence matrices and block decomposition.
 
-``inclusion_matrix(t, v)`` maps the t-subsets of {1..v} into its
-(t+1)-subsets, both in lexicographic order; ``build_a(k, ell)`` equals
+One routine, ``_extension_matrix``, builds every incidence matrix over index
+tuples: rows are the t-subsets of {1..v}, columns the u-subsets, both in
+lexicographic order and held as bit masks, and a column is 1 in a row iff
+it is the row joined with one piece disjoint from it.
+``inclusion_matrix(t, v)`` takes the points of {1..v} as pieces, so it maps
+the t-subsets into the (t+1)-subsets; ``build_a(k, ell)`` equals
 ``inclusion_matrix(ell-1, k+ell-1)`` bit for bit, and ``build_l_oracle(k)``
 is the case ell = k-1, an independent route to that family member.
-``build_m(n)`` is the larger incidence matrix over index tuples of {1..2n}
-whose rows extend a tuple by one disjoint complementary pair {i, 2n-i+1}.
+``build_m(n)`` takes the complementary pairs {i, 2n-i+1} as pieces, so it
+extends the (n-2)-subsets of {1..2n} to n-subsets.
 
 ``decompose_blocks`` splits any matrix into the connected components of its
 row-column graph and identifies each against ``build_a(j, j-1)`` with
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, groupby
@@ -41,13 +46,6 @@ from operator import itemgetter
 
 from .bitmatrix import BitMatrix, column_supports
 from .families import build_a, dims_of
-
-
-def index_set(ell: int, m: int) -> list[tuple[int, ...]]:
-    """All strictly increasing ell-tuples from {1..m}, lexicographic."""
-    if ell < 1 or ell > m:
-        raise ValueError("need 1 <= ell <= m")
-    return list(combinations(range(1, m + 1), ell))
 
 
 def symplectic_pairs(n: int) -> list[tuple[int, int]]:
@@ -69,6 +67,26 @@ def m_dims(n: int) -> tuple[int, int]:
     return comb(2 * n, n - 2), comb(2 * n, n)
 
 
+def _extension_matrix(t: int, u: int, v: int, pieces: Iterable[tuple[int, ...]]) -> BitMatrix:
+    """Rows the t-subsets of {1..v}, columns its u-subsets, both lexicographic.
+
+    Subsets are bit masks, bit x for element x. Entry (r, c) is 1 iff
+    column c is r | p for a piece p with r & p == 0.
+    """
+    bits = [1 << x for x in range(1, v + 1)]
+    # combinations of the bits keep the elements' lexicographic order
+    col = dict(zip(map(sum, combinations(bits, u)), map((1).__lshift__, range(comb(v, u)))))
+    masks = [sum(1 << x for x in p) for p in pieces]
+    words = []
+    for r in map(sum, combinations(bits, t)):
+        word = 0
+        for p in masks:
+            if not r & p:
+                word |= col[r | p]
+        words.append(word)
+    return BitMatrix(len(words), len(col), tuple(words))
+
+
 def inclusion_matrix(t: int, v: int) -> BitMatrix:
     """Inclusion matrix of the t-subsets into the (t+1)-subsets of {1..v}.
 
@@ -78,17 +96,7 @@ def inclusion_matrix(t: int, v: int) -> BitMatrix:
     """
     if t < 0 or t + 1 > v:
         raise ValueError("need 0 <= t < v")
-    cols = list(combinations(range(1, v + 1), t + 1))
-    col_pos = {c: i for i, c in enumerate(cols)}
-    words = []
-    for s in combinations(range(1, v + 1), t):
-        word = 0
-        in_s = set(s)
-        for x in range(1, v + 1):
-            if x not in in_s:
-                word |= 1 << col_pos[tuple(sorted(s + (x,)))]
-        words.append(word)
-    return BitMatrix(len(words), len(cols), tuple(words))
+    return _extension_matrix(t, t + 1, v, [(x,) for x in range(1, v + 1)])
 
 
 def build_l_oracle(k: int) -> BitMatrix:
@@ -98,31 +106,19 @@ def build_l_oracle(k: int) -> BitMatrix:
     is contained in the column subset. Every row has weight k, every column
     weight k-1, and all rows are distinct. Its order is l_oracle_dims(k).
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
+    l_oracle_dims(k)
     return inclusion_matrix(k - 2, 2 * k - 2)
 
 
 def build_m(n: int) -> BitMatrix:
-    """Incidence matrix over I(n-2, 2n) x I(n, 2n).
+    """Incidence matrix over the (n-2)- and n-subsets of {1..2n}, lexicographic.
 
     Entry (alpha, beta) is 1 iff beta is alpha extended by a complementary
-    pair {i, 2n-i+1} disjoint from the support of alpha. Row weights equal
-    the number of such disjoint pairs.
+    pair {i, 2n-i+1} disjoint from alpha. Row weights equal the number of
+    such disjoint pairs. Its order is m_dims(n).
     """
-    rows, ncols = m_dims(n)
-    cols = index_set(n, 2 * n)
-    col_pos = {c: t for t, c in enumerate(cols)}
-    pairs = symplectic_pairs(n)
-    words = []
-    for alpha in index_set(n - 2, 2 * n):
-        sup = set(alpha)
-        word = 0
-        for i, j in pairs:
-            if i not in sup and j not in sup:
-                word |= 1 << col_pos[tuple(sorted(alpha + (i, j)))]
-        words.append(word)
-    return BitMatrix(rows, ncols, tuple(words))
+    m_dims(n)
+    return _extension_matrix(n - 2, n, 2 * n, symplectic_pairs(n))
 
 
 # -- permutation equivalence --------------------------------------------------

@@ -48,6 +48,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
     be the complement of a, flip_b is flip_a's complement; otherwise b is
     flipped on its own, and the cell and its mirror record what that gives.
     """
+    dims_of(kmax, lmax)  # refuses an empty grid, which would check nothing
     cells = []
     all_ok = True
     for k in range(1, kmax + 1):
@@ -119,7 +120,7 @@ def decompose_report(n: int, include_rank: bool = True) -> dict:
         "zero_columns": rep.zero_columns,
         "unidentified": rep.unidentified,
     }
-    r = (n + 2) // 2 if n % 2 == 0 else (n + 1) // 2
+    r = n // 2 + 1
     out["r"] = r
     top = f"L_{r}"
     measured = rep.blocks.get(top, 0)

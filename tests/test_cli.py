@@ -68,6 +68,28 @@ def test_verify_grid_passes_and_is_byte_stable(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("grid", [("0", "3"), ("3", "0"), ("-2", "3")])
+def test_verify_refuses_an_empty_grid(monkeypatch, capsys, grid):
+    refuse_builds(monkeypatch)
+    code, out, err = run(capsys, "verify", "--grid", *grid)
+    assert code == 2 and out == "" and "k and ell must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("code", "mindist", "--k", "4", "--var", "dense"),
+        ("encode", "--k", "3", "--l", "2", "--mess", "10"),
+        ("gen", "a", "--k", "2", "--l", "2", "--rep"),
+    ],
+)
+def test_flag_prefixes_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "error:" in out.err
+
+
 def test_verify_with_ranks(capsys):
     code, out, _ = run(capsys, "verify", "--grid", "3", "3", "--ranks")
     rep = json.loads(out)

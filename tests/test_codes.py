@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 import reference
@@ -78,6 +80,13 @@ def test_code_dims_are_the_shape_of_make_code(k, variant):
     assert dims == (code.n0, 2 * code.n0)
     assert (code.generator.rows, code.generator.cols) == dims
     assert (code.parity.rows, code.parity.cols) == dims
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_code_dims_state_the_documented_binomial(k):
+    # code_dims reads n0 off dims_of(k - 1, k - 1)
+    n0 = comb(2 * k - 3, k - 2)
+    assert codes.code_dims(k) == (n0, 2 * n0)
 
 
 def test_code_pair_shape_validation():

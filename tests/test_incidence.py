@@ -21,7 +21,6 @@ from altmat import (
     flip_transpose,
     fragment_a,
     inclusion_matrix,
-    index_set,
     permutation_equivalent,
     symplectic_pairs,
 )
@@ -29,27 +28,6 @@ from altmat import incidence
 from altmat.bitmatrix import column_supports
 from altmat.incidence import l_oracle_dims
 from conftest import bit_matrices
-
-
-def test_index_set_hand_values():
-    assert index_set(2, 4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    assert index_set(1, 3) == [(1,), (2,), (3,)]
-    assert index_set(4, 4) == [(1, 2, 3, 4)]
-
-
-def test_index_set_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        index_set(0, 3)
-    with pytest.raises(ValueError):
-        index_set(4, 3)
-
-
-@pytest.mark.parametrize("ell,m", [(1, 5), (2, 6), (3, 7)])
-def test_index_set_is_sorted_and_complete(ell, m):
-    tuples = index_set(ell, m)
-    assert len(tuples) == comb(m, ell)
-    assert tuples == sorted(tuples)
-    assert all(len(t) == ell and all(a < b for a, b in zip(t, t[1:])) for t in tuples)
 
 
 def test_symplectic_pairs_sum_to_the_complementary_value():
@@ -106,6 +84,18 @@ def test_inclusion_matrix_rejects_bad_parameters():
             inclusion_matrix(t, v)
 
 
+@pytest.mark.parametrize("v", range(1, 8))
+def test_inclusion_matrix_entry_rule_by_brute_force(v):
+    for t in range(v):
+        m = inclusion_matrix(t, v)
+        rows = list(combinations(range(1, v + 1), t))
+        cols = list(combinations(range(1, v + 1), t + 1))
+        assert (m.rows, m.cols) == (len(rows), len(cols))
+        for i, s in enumerate(rows):
+            for j, c in enumerate(cols):
+                assert (m.bits[i] >> j) & 1 == int(set(s) <= set(c)), (t, v, s, c)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("ell", range(1, 7))
 def test_family_is_the_lexicographic_inclusion_matrix(k, ell):
@@ -146,17 +136,18 @@ def test_build_m_rejects_small_n():
 def test_build_m_n4_shape_and_hand_rows():
     m = build_m(4)
     assert (m.rows, m.cols) == (28, 70)
-    rows = index_set(2, 8)
+    rows = list(combinations(range(1, 9), 2))
     sums = m.row_sums()
     assert sums[rows.index((1, 8))] == 3
     assert sums[rows.index((1, 2))] == 2
 
 
-def test_build_m_n4_entry_rule_by_brute_force():
-    m = build_m(4)
-    rows = index_set(2, 8)
-    cols = index_set(4, 8)
-    pairs = [set(p) for p in symplectic_pairs(4)]
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_build_m_entry_rule_by_brute_force(n):
+    m = build_m(n)
+    rows = list(combinations(range(1, 2 * n + 1), n - 2))
+    cols = list(combinations(range(1, 2 * n + 1), n))
+    pairs = [set(p) for p in symplectic_pairs(n)]
     for i, alpha in enumerate(rows):
         for j, beta in enumerate(cols):
             extends = set(alpha) < set(beta) and set(beta) - set(alpha) in pairs

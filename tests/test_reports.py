@@ -152,3 +152,9 @@ def test_construction_report_flips_a_member_that_is_not_the_complement(monkeypat
         (3, 4): {"complement_ok": (True, False), "flip_ok": (True, False)},
         (4, 3): {"flip_ok": (True, False)},
     }
+
+
+@pytest.mark.parametrize("kmax, lmax", [(0, 3), (3, 0), (-2, 3)])
+def test_construction_report_refuses_an_empty_grid(kmax, lmax):
+    with pytest.raises(ValueError, match="k and ell must be positive"):
+        reports.construction_report(kmax, lmax)
