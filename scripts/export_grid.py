@@ -11,7 +11,7 @@ import pathlib
 import sys
 
 from altmat import build_a, build_b, dims_of, export_matrix
-from altmat.bitmatrix import MAX_CELLS, within_limit
+from altmat.bitmatrix import check_size
 from altmat.formats import FORMATS
 
 EXT = {"alist": "alist", "matrixmarket": "mtx", "dense": "txt"}
@@ -27,12 +27,10 @@ def main() -> int:
     # the (kmax, lmax) cell is the grid's largest; refuse the grid before building
     if min(args.kmax, args.lmax) < 1:
         parser.error("--kmax and --lmax must be positive")
-    rows, cols = dims_of(args.kmax, args.lmax)
-    if not within_limit(rows, cols):
-        parser.error(
-            f"build_a({args.kmax}, {args.lmax}) would be {rows} x {cols}, "
-            f"past the limit of {MAX_CELLS} cells"
-        )
+    try:
+        check_size(f"build_a({args.kmax}, {args.lmax})", dims_of(args.kmax, args.lmax))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     count = 0

@@ -11,7 +11,7 @@ import json
 import sys
 
 from altmat import dims_of
-from altmat.bitmatrix import MAX_CELLS, within_limit
+from altmat.bitmatrix import check_size
 from altmat.reports import (
     code_report,
     construction_report,
@@ -31,12 +31,10 @@ def main() -> int:
     # the (kmax, lmax) cell is the grid's largest; refuse the grid before building
     if min(args.kmax, args.lmax) < 1:
         parser.error("--kmax and --lmax must be positive")
-    rows, cols = dims_of(args.kmax, args.lmax)
-    if not within_limit(rows, cols):
-        parser.error(
-            f"build_a({args.kmax}, {args.lmax}) would be {rows} x {cols}, "
-            f"past the limit of {MAX_CELLS} cells"
-        )
+    try:
+        check_size(f"build_a({args.kmax}, {args.lmax})", dims_of(args.kmax, args.lmax))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     report = {
         "construction": construction_report(args.kmax, args.lmax),

@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 
-from . import bitmatrix
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, check_size
 from .codes import ENUMERATION_LIMIT, code_dims, make_code
 from .encoder import (
     GapSystemInconsistent,
@@ -57,16 +56,6 @@ def _read(path: str | None) -> str:
         return fh.read()
 
 
-def _check_size(request: str, dims: tuple[int, int]) -> None:
-    """Refuse, before anything is built, a matrix past the desk-scale limit."""
-    rows, cols = dims
-    if not bitmatrix.within_limit(rows, cols):
-        raise ValueError(
-            f"{request} would be {rows} x {cols}, "
-            f"past the limit of {bitmatrix.MAX_CELLS} cells"
-        )
-
-
 def _gen_matrix(args) -> tuple[BitMatrix, dict[str, int]]:
     """The requested family member and the flags that named it."""
     # each family's flags, the order of its member and its builder, read from
@@ -84,7 +73,7 @@ def _gen_matrix(args) -> tuple[BitMatrix, dict[str, int]]:
     if None in values:
         raise ValueError(f"gen {args.family} requires {named}")
     given = " ".join(f"--{flag} {val}" for flag, val in zip(flags, values))
-    _check_size(f"gen {args.family} {given}", dims(*values))
+    check_size(f"gen {args.family} {given}", dims(*values))
     return build(*values), dict(zip(flags, values))
 
 
@@ -115,7 +104,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     kmax, lmax = args.grid
     # the (kmax, lmax) cell is the grid's largest; dims_of refuses an empty grid
-    _check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
+    check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
     report = construction_report(kmax, lmax)
     if args.ranks:
         report["square_rank"] = rank_report(min(kmax, 5))
@@ -128,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _check_size(f"decompose --n {args.n}", m_dims(args.n))
+    check_size(f"decompose --n {args.n}", m_dims(args.n))
     report = decompose_report(args.n, include_rank=not args.skip_rank)
     _emit_report(report, args.out)
     return EXIT_OK if report["unidentified"] == 0 else EXIT_CHECK
@@ -137,7 +126,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_code(args) -> int:
     request = f"code {args.action} --k {args.k}"
     n0, cols = code_dims(args.k)
-    _check_size(request, (n0, cols))
+    check_size(request, (n0, cols))
     # both read the weight enumerator, which counts all 2^n0 codewords
     if args.action in ("weights", "mindist") and n0 > ENUMERATION_LIMIT:
         raise ValueError(
@@ -180,7 +169,7 @@ def _cmd_encode(args) -> int:
         raise ValueError("--message must be a nonempty string of 0/1 characters")
     message = tuple(int(ch) for ch in args.message)
     _, message_len = split_sizes(args.k, args.l)
-    _check_size(f"encode --k {args.k} --l {args.l}", dims_of(args.k, args.l))
+    check_size(f"encode --k {args.k} --l {args.l}", dims_of(args.k, args.l))
     if len(message) != message_len:
         raise ValueError(f"message must have length {message_len}, got {len(message)}")
     enc = make_encoder(args.k, args.l)

@@ -16,10 +16,9 @@ the codeword of unit message j, (B·p1 + A·e_j | p1 | e_j) with p1 the
 particular solution for e_j. With Y = (particular | I), whose row j is
 (p1 | e_j), they are built in bulk as (Y · Xᵀ | Y), one product for the
 whole tail X = (B | A), just as the gap system is the one product
-T·X = (T·B | T·A). A codeword is the XOR of the rows its message selects,
-read from the generator's subset-XOR tables one lookup per four message
-bits. Verification is the same kind of lookup, build_a(k, ell) · x from
-the column tables held on the cached matrix.
+T·X = (T·B | T·A). A codeword is the XOR of the generator rows its
+message selects. Verification XORs the columns of the cached
+build_a(k, ell) that the word selects (``gf2_matvec``).
 """
 
 from __future__ import annotations
@@ -33,10 +32,8 @@ from .bitmatrix import (
     gf2_matvec,
     gf2_mul,
     gf2_rref,
-    pack_bits,
     unpack_bits,
-    xor_lookup,
-    xor_tables,
+    xor_selected,
 )
 from .families import Fragmentation, build_a, dims_of, fragment_a
 
@@ -67,15 +64,13 @@ class Encoder:
     """Precomputed gap solver: immutable and safe to share across threads.
 
     ``partition`` is the fragment_a(k, ell) split the gap system comes from;
-    ``generator_tables`` are ``xor_tables(generator)``, from which ``encode``
-    reads a codeword by table lookup.
+    ``generator`` holds the codeword of each unit message, packed.
     """
 
     partition: Fragmentation
     phi: BitMatrix
     particular: tuple[int, ...]
     generator: tuple[int, ...]
-    generator_tables: tuple[tuple[int, ...], ...]
 
 
 def make_encoder(k: int, ell: int) -> Encoder:
@@ -114,22 +109,18 @@ def encoder_from_partition(part: Fragmentation) -> Encoder:
     ys = tuple(p1w | 1 << (g + j) for j, p1w in enumerate(particular.bits))
     p2 = gf2_mul(BitMatrix(s, g + s, ys), part.tail.transpose())
     generator = tuple(p2w | y << part.top.cols for p2w, y in zip(p2.bits, ys))
-    return Encoder(part, phi, particular.bits, generator, xor_tables(generator))
+    return Encoder(part, phi, particular.bits, generator)
 
 
 def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
-    """Codeword (p2 | p1 | message) with build_a(k, ell) · x = 0 over GF(2).
-
-    The XOR of the generator rows the message selects, as one lookup in the
-    encoder's generator tables.
-    """
+    """Codeword (p2 | p1 | message), the XOR of the generator rows the message selects."""
     part = enc.partition
     if len(message) != part.message_len:
         raise ValueError(
             f"message must have length {part.message_len}, got {len(message)}"
         )
     n = part.top.cols + part.tail.cols
-    return unpack_bits(xor_lookup(enc.generator_tables, pack_bits(message)), n)
+    return unpack_bits(xor_selected(enc.generator, message), n)
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
@@ -137,4 +128,4 @@ def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
     h = build_a(k, ell)
     if len(x) != h.cols:
         raise ValueError(f"word must have length {h.cols}, got {len(x)}")
-    return gf2_matvec(h, pack_bits(x)) == 0
+    return gf2_matvec(h, x) == 0

@@ -88,7 +88,9 @@ def construction_report(kmax: int, lmax: int) -> dict:
 
 
 def rank_report(kmax: int = 5) -> dict:
-    """Exact rational rank of the square members against C(2k-1, k-1)."""
+    """Exact rational rank of the square members against C(2k-1, k-1), k = 2..kmax."""
+    if kmax < 2:
+        raise ValueError(f"square_rank needs kmax >= 2, got {kmax}")
     entries = []
     ok = True
     for k in range(2, kmax + 1):
@@ -165,8 +167,10 @@ def oracle_report(kmax: int = 5) -> dict:
 
     The two matrices are equal bit for bit, which ``permutation_equivalent``
     takes as equivalence by the identity permutations; the isomorphism
-    search runs only for a k where that identity fails.
+    search runs only for a k where that identity fails. k runs over 2..kmax.
     """
+    if kmax < 2:
+        raise ValueError(f"incidence_oracle needs kmax >= 2, got {kmax}")
     entries = []
     ok = True
     for k in range(2, kmax + 1):

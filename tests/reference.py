@@ -3,9 +3,11 @@
 Each function walks rows one bit (or, for the ranks, one list entry) at a
 time, the plain way, so that the fast kernels in ``altmat`` can be checked
 against it: the alist and MatrixMarket codecs set one entry at a time,
-``gf2_matvec`` takes one parity bit per row instead of looking columns up in
-subset-XOR tables, ``encode_by_parts`` solves for the parity parts of each
-codeword with it instead of XOR-ing generator rows, ``gleason_fit``
+``gf2_mul`` XORs the rows at every set bit of a row instead of walking the
+shorter of its ones and its zeros, ``gf2_matvec`` takes one parity bit per
+row instead of XOR-ing the columns the vector selects, ``encode_by_parts``
+solves for the parity parts of each codeword with it instead of XOR-ing
+generator rows, ``gleason_fit``
 row-reduces over the rationals instead of substituting forward, and
 ``weight_enumerator`` counts one codeword at a time instead of thousands in
 bit-sliced counters, and ``colour_refine`` rebuilds and sorts every vertex's

@@ -96,6 +96,13 @@ def test_verify_with_ranks(capsys):
     assert code == 0 and rep["square_rank"]["ok"] and rep["incidence_oracle"]["ok"]
 
 
+@pytest.mark.parametrize("lmax", ["1", "6"])
+def test_verify_with_ranks_refuses_a_grid_with_no_square_member(capsys, lmax):
+    # the rank and oracle checks cover k = 2..min(kmax, 5); kmax = 1 checks none
+    code, out, err = run(capsys, "verify", "--grid", "1", lmax, "--ranks")
+    assert code == 2 and out == "" and "square_rank needs kmax >= 2, got 1" in err
+
+
 def test_decompose_reports_blocks(capsys):
     code, out, _ = run(capsys, "decompose", "--n", "4")
     assert code == 0

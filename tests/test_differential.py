@@ -177,34 +177,68 @@ def test_gf2_mul_matches_reference(a, data):
     assert gf2_mul(a, b) == reference.gf2_mul(a, b)
 
 
-# widths around the 4-row runs of a table and the 64-bit words of a row;
-# 1, 3, 5, 63, 65 and 130 leave the last table partial
-TABLE_WIDTHS = (1, 3, 4, 5, 63, 64, 65, 130)
+# odd widths and widths around the 64-bit words of a row
+PRODUCT_WIDTHS = (1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 130)
 
 
 @st.composite
-def matvec_words(draw, cols):
-    """0, a word within cols bits, one up to 70 bits wider, or a negative one."""
-    return draw(st.one_of(
-        st.just(0),
-        st.integers(0, (1 << cols) - 1),
-        st.integers(1 << cols, (1 << (cols + 70)) - 1),
-        st.integers(-(1 << (cols + 70)), -1),
-    ))
+def balanced_rows(draw, rows, cols):
+    """rows words of cols bits, each of weight cols/2 or one either side of it.
+
+    At those weights gf2_mul switches between a row's ones and its zeros.
+    Some rows and some columns are then cleared.
+    """
+    half = cols // 2
+    words = []
+    for _ in range(rows):
+        weight = draw(st.sampled_from(sorted({max(half - 1, 0), half, min(half + 1, cols)})))
+        ones = draw(st.permutations(range(cols)))[:weight]
+        words.append(sum(1 << j for j in ones))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        words[i] = 0
+    cleared = sum(1 << j for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)))
+    return BitMatrix(rows, cols, tuple(w & ~cleared for w in words))
 
 
 @settings(max_examples=100)
-@given(st.sampled_from(TABLE_WIDTHS), st.data())
+@given(st.sampled_from(PRODUCT_WIDTHS), st.data())
+def test_gf2_mul_of_balanced_rows_matches_reference(cols, data):
+    a = data.draw(balanced_rows(data.draw(st.integers(1, 12)), cols))
+    b = data.draw(bit_matrices(min_rows=cols, max_rows=cols, max_cols=140))
+    assert gf2_mul(a, b) == reference.gf2_mul(a, b)
+    # with b all zero columns, the XOR of all of b's rows is zero too
+    assert gf2_mul(a, BitMatrix.zeros(cols, 5)) == BitMatrix.zeros(a.rows, 5)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(PRODUCT_WIDTHS), st.data())
 def test_gf2_matvec_matches_per_row_parity(cols, data):
     m = data.draw(bit_matrices(max_rows=140, min_cols=cols, max_cols=cols))
-    x = data.draw(matvec_words(cols))
-    assert gf2_matvec(m, x) == reference.gf2_matvec(m, x)
-    tables = m.column_tables
-    assert [len(t) for t in tables] == [16] * (cols // 4) + [1 << cols % 4] * (cols % 4 > 0)
+    x = data.draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols))
+    assert gf2_matvec(m, x) == reference.gf2_matvec(m, reference_pack(x))
 
 
 def reference_pack(bits):
     return sum(b << i for i, b in enumerate(bits))
+
+
+@pytest.mark.parametrize("bad", [2, -1, None])
+def test_gf2_matvec_and_verify_codeword_refuse_a_non_bit_entry(bad):
+    h = build_a(3, 2)
+    x = [1, 0, 1, 0, 1, bad]
+    for check in (lambda: gf2_matvec(h, x), lambda: verify_codeword(3, 2, x)):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == f"entry {bad!r} is not a bit"
+
+
+@pytest.mark.parametrize("n", [0, 5, 7])
+def test_gf2_matvec_and_verify_codeword_refuse_a_wrong_length(n):
+    h = build_a(3, 2)
+    with pytest.raises(ValueError, match=f"vector must have length 6, got {n}"):
+        gf2_matvec(h, [0] * n)
+    with pytest.raises(ValueError, match=f"word must have length 6, got {n}"):
+        verify_codeword(3, 2, [0] * n)
 
 
 def test_verify_codeword_matches_per_row_parity():
@@ -231,30 +265,30 @@ def test_verify_codeword_matches_per_row_parity():
         assert not verify_codeword(k, ell, flipped)
 
 
-def test_column_tables_die_with_the_cached_matrix():
-    # tables are held on the matrix, so clearing build_a's cache frees them
+def test_columns_die_with_the_cached_matrix():
+    # the columns are held on the matrix, so clearing build_a's cache frees them
     build_a.cache_clear()
     h = build_a(7, 5)
-    gf2_matvec(h, 1)
-    assert "column_tables" in vars(h)
+    gf2_matvec(h, [1] + [0] * (h.cols - 1))
+    assert "columns" in vars(h)
     alive = weakref.ref(h)
     del h
     build_a.cache_clear()
     assert alive() is None
 
 
-def test_column_tables_of_a75_stay_small():
-    # 116 tables of 16 column XORs, 330 bits each; the packed rows are 18.6 KiB
+def test_columns_of_a75_stay_small():
+    # 462 columns of 330 bits; the packed rows are 18.6 KiB
     h = build_a(7, 5)
     fresh = BitMatrix(h.rows, h.cols, h.bits)
     tracemalloc.start()
     try:
-        tables = fresh.column_tables
+        columns = fresh.columns
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(tables) == 116
-    assert held <= 200 * 1024
+    assert columns == h.transpose().bits
+    assert held <= 40 * 1024
 
 
 @settings(max_examples=50)
@@ -315,7 +349,7 @@ def test_generator_rows_are_the_unit_codewords(k, ell):
     assert len(enc.generator) == s
     for j, row in enumerate(enc.generator):
         unit = tuple(int(t == j) for t in range(s))
-        assert gf2_matvec(h, row) == 0
+        assert gf2_matvec(h, unpack_bits(row, h.cols)) == 0
         assert row >> (h.cols - s) == 1 << j
         word = encode(enc, unit)
         assert word == unpack_bits(row, h.cols)

@@ -191,8 +191,7 @@ def test_inconsistent_gap_system_is_reported_with_an_index():
 
 def test_matvec_agrees_with_encode_verification():
     h = build_a(3, 2)
-    word = 0b010101  # (1,0,1,0,1,0) packed little-endian
-    assert gf2_matvec(h, word) == 0
+    assert gf2_matvec(h, (1, 0, 1, 0, 1, 0)) == 0
 
 
 def test_encoder_report_verifies_its_random_messages(monkeypatch):

@@ -158,3 +158,11 @@ def test_construction_report_flips_a_member_that_is_not_the_complement(monkeypat
 def test_construction_report_refuses_an_empty_grid(kmax, lmax):
     with pytest.raises(ValueError, match="k and ell must be positive"):
         reports.construction_report(kmax, lmax)
+
+
+@pytest.mark.parametrize("kmax", [1, 0, -3])
+def test_rank_and_oracle_reports_refuse_a_grid_with_no_square_member(kmax):
+    with pytest.raises(ValueError, match=f"square_rank needs kmax >= 2, got {kmax}"):
+        reports.rank_report(kmax)
+    with pytest.raises(ValueError, match=f"incidence_oracle needs kmax >= 2, got {kmax}"):
+        reports.oracle_report(kmax)
