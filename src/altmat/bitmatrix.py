@@ -41,14 +41,17 @@ rows above are reduced against them, where top down every identity row was
 pushed through the sparse block above it. The pivot columns, the rank and
 the reduced row echelon form of a row space do not depend on the order.
 
-Rational rank is certified modulo the prime P = 2^31 - 1 (``rank_mod_p``):
-the rank mod P never exceeds the rational rank, so when it reaches
-min(rows, cols) it is exact. That kernel packs each row into one int of
-64-bit lanes, one lane per column, and every elimination step is one
-big-int multiply-add followed by two whole-int folds that keep every lane at
-most P+7, so no carry crosses a lane. Only a matrix the certificate does not
-cover, rank-deficient or (rarely) with minors divisible by P, goes through
-fraction-free Bareiss elimination.
+Rational rank is certified modulo a Mersenne prime p = 2^q - 1
+(``rank_mod_p``): the rank mod p never exceeds the rational rank, so when
+it reaches min(rows, cols) it is exact. That kernel packs each row into one
+int of lanes, one lane per column, the smallest multiple of 4 bits that
+holds p^2: 12-bit lanes for p = 31 (q = 5), 64-bit lanes for p = 2^31 - 1
+(q = 31). Every elimination step is one big-int multiply-add followed by
+the same two whole-int folds for every q, which keep every lane at most p,
+so no carry crosses a lane. ``exact_rank`` tries p = 31 first, which
+certifies every ``build_a`` member the size guard admits, then 2^31 - 1; only a
+matrix neither certifies, rank-deficient or (rarely) with minors divisible
+by both primes, goes through fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -519,55 +522,72 @@ def gf2_solve(a: BitMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
 # -- exact rank over the rationals -------------------------------------------
 
 RANK_PRIME = (1 << 31) - 1
-_LANE_BITS = 64
-_LANE_MASK = (1 << _LANE_BITS) - 1
+# the exponents q <= 61 for which 2^q - 1 is prime
+_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61)
 
 
-def _lanes(word: int, width: int) -> int:
-    """word's bits spread to 64-bit lanes: lane j holds bit j (one hex numeral)."""
+def _lanes(word: int, width: int, digits: int) -> int:
+    """word's bits spread to lanes of ``digits`` hex digits: lane j holds bit j."""
     numeral = format(word, f"0{width}b")
-    return int(numeral.replace("0", "0" * 16).replace("1", "0" * 15 + "1"), 16)
+    return int(numeral.replace("0", "0" * digits).replace("1", "0" * (digits - 1) + "1"), 16)
 
 
-def rank_mod_p(a: BitMatrix) -> int:
-    """Rank of the matrix over the integers modulo the prime 2^31 - 1.
+def _lane_masks(q: int, cols: int) -> tuple[int, int, int]:
+    """Hex digits per lane, and the LO and HI masks of cols lanes, for p = 2^q - 1."""
+    if q not in _MERSENNE_EXPONENTS:
+        raise ValueError(f"2^{q} - 1 is not a supported Mersenne prime")
+    digits = -(-2 * q // 4)
+    lo = int(f"{(1 << q) - 1:0{digits}x}" * cols, 16)
+    hi = int(f"{(1 << (4 * digits - q)) - 1:0{digits}x}" * cols, 16)
+    return digits, lo, hi
 
-    Each row is one int of 64-bit lanes, one lane per column, and is reduced
+
+def rank_mod_p(a: BitMatrix, q: int = RANK_PRIME.bit_length()) -> int:
+    """Rank of the matrix over the integers modulo the Mersenne prime p = 2^q - 1.
+
+    Each row is one int of lanes, one lane per column, and is reduced
     against a basis keyed by each member's pivot column, as in
     ``gf2_basis``. The rows are taken last to first for the same reason:
     the identity rows at the bottom of ``build_a`` become pivots with no
-    reduction (rank_mod_p(build_a(5, 5)) took 6.6-8.7 ms top down and
+    reduction (rank_mod_p(build_a(5, 5), 31) took 6.6-8.7 ms top down and
     2.4-3.9 ms bottom up on a 2-vCPU Xeon VM, CPython 3.11). A row is stored from the
     lane of its lowest live column up (the lanes below it are all zero mod
-    P), beside an ordinary packed support mask that is a superset of its
+    p), beside an ordinary packed support mask that is a superset of its
     nonzero columns, so the pivot search steps from one support bit to the
     next and a sparse row stays short.
 
-    Lane bound: every lane stays at most P+7, so a lane is zero mod P
-    exactly when it is 0 or P. A row update r + m*p with m < P then reaches
-    at most (P+7) + (P-1)(P+7) = P(P+7) < 2^64 per lane, so no carry crosses
-    into the next lane. LO and HI mask the low 31 and the next 33 bits of
-    every lane. Since 2^31 = 1 mod P, the fold (r & LO) + ((r >> 31) & HI)
-    keeps each lane's residue; one fold brings a lane below 2^34 and a
-    second to at most P+4.
+    Lane bound: every lane stays at most p, so a lane is zero mod p exactly
+    when it is 0 or p. A row update r + m*b with m < p then reaches at most
+    p + (p-1)p = p^2 < 2^(2q) per lane, and a lane is the smallest multiple
+    of 4 bits (one hex digit) that holds 2q bits, so no carry crosses into
+    the next lane: 12 bits for q = 5, 64 bits for q = 31. LO masks the low q
+    bits of every lane and HI the rest. Since 2^q = 1 mod p, the fold
+    (r & LO) + ((r >> q) & HI) keeps each lane's residue. Two folds follow
+    every update: the first takes a lane v <= p^2 to at most 2p - 1 (the
+    high part is p only for v = p * 2^q, whose low part is 0), the second
+    takes that to at most p (a lane of 2^q or more loses 2^q and gains 1).
+    Narrow lanes make every multiply-add shorter: rank_mod_p(build_a(7, 7), q)
+    took 0.46 s with q = 31 and 0.16 s with q = 5 (2-vCPU Xeon VM,
+    CPython 3.11).
     """
-    p = RANK_PRIME
+    digits, lo, hi = _lane_masks(q, a.cols)
+    p = (1 << q) - 1
+    lane_bits = 4 * digits
+    lane_mask = (1 << lane_bits) - 1
     target = min(a.rows, a.cols)
-    lo = int(f"{p:016x}" * a.cols, 16)
-    hi = int(f"{(1 << 33) - 1:016x}" * a.cols, 16)
-    # pivot bit -> (lanes from the pivot up, support mask, -1/pivot mod P)
+    # pivot bit -> (lanes from the pivot up, support mask, -1/pivot mod p)
     basis: dict[int, tuple[int, int, int]] = {}
     for support in reversed(a.bits):
         if not support:
             continue
         at = (support & -support).bit_length() - 1
-        row = _lanes(support >> at, a.cols - at)
+        row = _lanes(support >> at, a.cols - at, digits)
         while support:
             low = support & -support
             c = low.bit_length() - 1
-            row >>= (c - at) * _LANE_BITS
+            row >>= (c - at) * lane_bits
             at = c
-            x = row & _LANE_MASK
+            x = row & lane_mask
             if x == 0 or x == p:
                 support ^= low
                 continue
@@ -577,8 +597,8 @@ def rank_mod_p(a: BitMatrix) -> int:
                 break
             pivot_row, pivot_support, neg_inv = member
             row += x * neg_inv % p * pivot_row
-            row = (row & lo) + ((row >> 31) & hi)
-            row = (row & lo) + ((row >> 31) & hi)
+            row = (row & lo) + ((row >> q) & hi)
+            row = (row & lo) + ((row >> q) & hi)
             support = (support | pivot_support) ^ low
         if len(basis) == target:
             break
@@ -588,16 +608,26 @@ def rank_mod_p(a: BitMatrix) -> int:
 def exact_rank(a: BitMatrix) -> int:
     """Rank of the integer matrix over the rationals.
 
-    The rank modulo the prime P = 2^31 - 1 (``rank_mod_p``) is never above
-    the rational rank, which is never above min(rows, cols): a nonzero minor
-    mod P is a nonzero integer. When the rank mod P reaches min(rows, cols)
-    it is therefore exact and is returned. Otherwise, which only a
-    rank-deficient matrix or one whose minors P happens to divide can cause,
-    the rank comes from fraction-free (Bareiss) elimination.
+    The rank modulo a prime p (``rank_mod_p``) is never above the rational
+    rank, which is never above min(rows, cols): a nonzero minor mod p is a
+    nonzero integer. When the rank mod p reaches min(rows, cols) it is
+    therefore exact and is returned. The small prime 31 (q = 5, 12-bit
+    lanes) is tried first: by Wilson's p-rank formula (R. M. Wilson, Europ.
+    J. Combin. 1990) build_a(k, ell) has full rank mod any prime above
+    min(k, ell), and every build_a that MAX_CELLS admits has min(k, ell)
+    <= 8. A matrix that falls short mod 31 is tried mod 2^31 - 1 (q = 31,
+    64-bit lanes). On seeded random squares of fair bits, 34 of the 1233
+    of order 8-40 that had full rank mod 2^31 - 1 fell short mod 31 (2.8 %,
+    near the 1/31 chance that 31 divides a determinant) and paid that
+    second pass; none of the 536 of order 1-7 did. Only a matrix both
+    primes fall short on, rank-deficient or with minors both divide, goes
+    through fraction-free (Bareiss) elimination.
     """
-    r = rank_mod_p(a)
-    if r == min(a.rows, a.cols):
-        return r
+    target = min(a.rows, a.cols)
+    for q in (5, 31):
+        r = rank_mod_p(a, q)
+        if r == target:
+            return r
     return _bareiss_rank(a)
 
 

@@ -107,8 +107,9 @@ def _cmd_verify(args) -> int:
     check_size(f"verify --grid {kmax} {lmax}", dims_of(kmax, lmax))
     report = construction_report(kmax, lmax)
     if args.ranks:
-        report["square_rank"] = rank_report(min(kmax, 5))
-        report["incidence_oracle"] = oracle_report(min(kmax, 5))
+        # the square cells (k, k) and the oracle's cells (k, k-1) of the grid
+        report["square_rank"] = rank_report(min(kmax, lmax, 5))
+        report["incidence_oracle"] = oracle_report(min(kmax, lmax + 1, 5))
         report["ok"] = bool(
             report["ok"] and report["square_rank"]["ok"] and report["incidence_oracle"]["ok"]
         )

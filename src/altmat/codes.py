@@ -3,7 +3,13 @@
 The sparse code has generator (I | A) and check matrix (A^T | I) with
 A = build_a(k-1, k-1), a square persymmetric matrix of order
 n0 = C(2k-3, k-2); the dense variant uses (J-I | B) and (B^T | I) with
-B the complement family member. Weight enumerators are computed by exact
+B the complement family member. The sparse pair's parity-check and
+isodual certificates are read off its blocks: with identity blocks in
+place and the parity's low block equal to A^T, G·H^T = A + A = 0 and both
+ranks are n0, and with A persymmetric, reversing all coordinates carries
+each parity row onto a generator row. Every other pair is multiplied out,
+ranked and reduced, so a doctored code still yields its counterexample.
+Weight enumerators are computed by exact
 enumeration at desk scale, the weights of thousands of codewords at a time
 in bit-sliced counters; the minimum distance is read off the enumerator
 (``WeightEnumerator.min_distance``), beside ``distance_bound(n0)``. Fits against the Gleason
@@ -28,6 +34,7 @@ from .bitmatrix import (
     bit_sliced_sum,
     bit_support,
     compose,
+    flip_transpose,
     gf2_basis,
     gf2_mul,
     gf2_rank,
@@ -155,8 +162,37 @@ def make_code(k: int, variant: str) -> CodePair:
     return CodePair(compose([left, core]), par, variant)
 
 
+def _identity_blocks(code: CodePair) -> BitMatrix | None:
+    """A, when the generator is (I | A) and the parity (A^T | I), read off the matrices.
+
+    The generator's low n0 bits must be the identity, the parity's high n0
+    bits the identity, and the parity's low block the transpose of the
+    generator's high block; None otherwise.
+    """
+    n0 = code.n0
+    low = (1 << n0) - 1
+    units = [1 << i for i in range(n0)]
+    if [w & low for w in code.generator.bits] != units:
+        return None
+    if [w >> n0 for w in code.parity.bits] != units:
+        return None
+    a = BitMatrix(n0, n0, tuple(w >> n0 for w in code.generator.bits))
+    if a.transpose().bits != tuple(w & low for w in code.parity.bits):
+        return None
+    return a
+
+
 def is_parity_check(code: CodePair) -> ParityCheckResult:
-    """True iff G·H^T = 0 over GF(2) and the two ranks sum to the length."""
+    """True iff G·H^T = 0 over GF(2) and the two ranks sum to the length.
+
+    A pair (I | A), (A^T | I) is certified by its blocks (``_identity_blocks``):
+    G·H^T = I·A + A·I = 0, and each identity block gives rank n0. Any other
+    pair, the dense variant among them, is multiplied out and both ranks
+    are computed by elimination, so a doctored code still gets its witness.
+    """
+    n0 = code.n0
+    if _identity_blocks(code) is not None:
+        return ParityCheckResult(True, None, n0, n0, BitMatrix.zeros(n0, n0))
     prod = gf2_mul(code.generator, code.parity.transpose())
     witness = None
     for i, w in enumerate(prod.bits):
@@ -165,7 +201,7 @@ def is_parity_check(code: CodePair) -> ParityCheckResult:
             break
     rg = gf2_rank(code.generator)
     rp = gf2_rank(code.parity)
-    ok = witness is None and rg + rp == 2 * code.n0
+    ok = witness is None and rg + rp == 2 * n0
     return ParityCheckResult(ok, witness, rg, rp, prod)
 
 
@@ -173,16 +209,22 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
     """Coordinate reversal carrying the dual's row space onto the code's.
 
     The permutation reverses positions within each half and swaps the
-    halves, which amounts to reversing all 2*n0 coordinates. Row-space
-    equality is certified by equal full ranks and by every permuted dual row
-    reducing to zero against the generator's basis, with no codeword
-    enumeration, so it works at any k. The counterexample, if any, is the
-    first permuted dual row outside the code.
+    halves, which amounts to reversing all 2*n0 coordinates. For a pair
+    (I | A), (A^T | I) with A persymmetric (``flip_transpose(A) == A``) the
+    blocks certify it: reversing parity row i gives (e_(n0-1-i) | row
+    n0-1-i of A), generator row n0-1-i, and both matrices have rank n0.
+    Any other pair is certified by equal full ranks and by every permuted
+    dual row reducing to zero against the generator's basis, with no
+    codeword enumeration, so it works at any k. The counterexample, if any,
+    is the first permuted dual row outside the code.
     """
     if code.variant != "sparse":
         raise ValueError("isodual certificate is defined for the sparse variant")
     n = 2 * code.n0
     sigma = tuple(range(n - 1, -1, -1))
+    a = _identity_blocks(code)
+    if a is not None and flip_transpose(a) == a:
+        return IsodualWitness(sigma, True, None)
     # reversing the coordinates of a row reverses its n-digit binary numeral
     numeral = f"0{n}b"
     permuted = [int(format(w, numeral)[::-1], 2) for w in code.parity.bits]

@@ -96,11 +96,20 @@ def test_verify_with_ranks(capsys):
     assert code == 0 and rep["square_rank"]["ok"] and rep["incidence_oracle"]["ok"]
 
 
-@pytest.mark.parametrize("lmax", ["1", "6"])
-def test_verify_with_ranks_refuses_a_grid_with_no_square_member(capsys, lmax):
-    # the rank and oracle checks cover k = 2..min(kmax, 5); kmax = 1 checks none
-    code, out, err = run(capsys, "verify", "--grid", "1", lmax, "--ranks")
+@pytest.mark.parametrize("grid", [("1", "1"), ("1", "6"), ("6", "1")], ids="-".join)
+def test_verify_with_ranks_refuses_a_grid_with_no_square_member(capsys, grid):
+    # the square ranks cover k = 2..min(kmax, lmax, 5); a side of 1 leaves none
+    code, out, err = run(capsys, "verify", "--grid", *grid, "--ranks")
     assert code == 2 and out == "" and "square_rank needs kmax >= 2, got 1" in err
+
+
+def test_verify_with_ranks_stays_inside_the_grid(capsys):
+    # (k, k) for k <= min(kmax, lmax) and (k, k-1) for k <= min(kmax, lmax + 1)
+    code, out, _ = run(capsys, "verify", "--grid", "5", "2", "--ranks")
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"]
+    assert [e["k"] for e in rep["square_rank"]["entries"]] == [2]
+    assert [e["k"] for e in rep["incidence_oracle"]["entries"]] == [2, 3]
 
 
 def test_decompose_reports_blocks(capsys):

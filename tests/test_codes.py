@@ -1,4 +1,5 @@
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from altmat import (
     GleasonFit,
     WeightEnumerator,
     ZeroCodeError,
+    build_a,
     distance_bound,
     gf2_mul,
     gf2_rank,
@@ -139,6 +141,34 @@ def test_isodual_certificate(k):
     assert wit.ok
     assert wit.counterexample is None
     assert wit.permutation == tuple(range(2 * code.n0 - 1, -1, -1))
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_sparse_certificates_are_read_off_the_identity_blocks(k):
+    code = make_code(k, "sparse")
+    n0 = code.n0
+    assert codes._identity_blocks(code) == build_a(k - 1, k - 1)
+    with (
+        mock.patch.object(codes, "gf2_mul", wraps=codes.gf2_mul) as mul,
+        mock.patch.object(codes, "gf2_rank", wraps=codes.gf2_rank) as rank,
+        mock.patch.object(codes, "gf2_basis", wraps=codes.gf2_basis) as basis,
+    ):
+        res = is_parity_check(code)
+        wit = isodual_witness(code)
+    assert mul.call_count == rank.call_count == basis.call_count == 0
+    assert res == codes.ParityCheckResult(True, None, n0, n0, BitMatrix.zeros(n0, n0))
+    assert wit == codes.IsodualWitness(tuple(range(2 * n0 - 1, -1, -1)), True, None)
+    # what the blocks state, checked the long way
+    assert reference.gf2_mul(code.generator, reference.transpose(code.parity)).is_zero()
+    for m in (code.generator, code.parity):
+        assert len(reference.gf2_eliminate(m.bits, m.cols)[1]) == n0
+    permuted = reference.submatrix(code.parity, range(n0), wit.permutation)
+    assert reference.isodual_counterexample(code.generator, permuted) is None
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_the_dense_pair_has_no_identity_blocks(k):
+    assert codes._identity_blocks(make_code(k, "dense")) is None
 
 
 def test_isodual_permutation_is_an_involution():

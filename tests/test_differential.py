@@ -7,6 +7,7 @@ rows wider than 64 and 128 bits, and pivots past bit 64.
 import random
 import tracemalloc
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,13 @@ from altmat import (
     gf2_rank,
     gf2_solve,
     import_matrix,
+    is_parity_check,
     isodual_witness,
+    make_code,
     make_encoder,
     verify_codeword,
 )
+from altmat import codes
 from altmat.bitmatrix import gf2_basis, gf2_rref, unpack_bits
 from altmat.codes import G1, G2, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent, encode, encoder_from_partition
@@ -398,6 +402,45 @@ def test_isodual_witness_across_word_boundaries(n0):
     doctored = BitMatrix(n0, 2 * n0, generator.bits[:-1] + (generator.bits[-1] ^ 1,))
     wit = check_isodual(CodePair(doctored, parity, "sparse"))
     assert not wit.ok and wit.counterexample is not None
+
+
+def doctor(code, kind):
+    """make_code(k, "sparse") with one defect that its block certificate must not pass."""
+    n0 = code.n0
+    g, h = list(code.generator.bits), list(code.parity.bits)
+    if kind == "persymmetry":
+        # A(0, 0) flipped in both blocks: still (I | A), (A^T | I), but
+        # A(0, 0) and its anti-diagonal mirror A(n0-1, n0-1) now differ
+        g[0] ^= 1 << n0
+        h[0] ^= 1
+    elif kind == "parity_low_block":
+        h[0] ^= 1
+    else:
+        g = g[1:] + g[:1]
+    return CodePair(BitMatrix(n0, 2 * n0, tuple(g)), BitMatrix(n0, 2 * n0, tuple(h)), "sparse")
+
+
+@pytest.mark.parametrize("kind", ["persymmetry", "parity_low_block", "rows_permuted"])
+@pytest.mark.parametrize("k", range(3, 8))
+def test_doctored_sparse_codes_take_the_general_route(k, kind):
+    code = doctor(make_code(k, "sparse"), kind)
+    with (
+        mock.patch.object(codes, "gf2_mul", wraps=gf2_mul) as mul,
+        mock.patch.object(codes, "gf2_basis", wraps=gf2_basis) as basis,
+    ):
+        res = is_parity_check(code)
+        wit = check_isodual(code)
+    # a persymmetry defect leaves a parity-check pair, which its blocks certify
+    assert mul.call_count == (kind != "persymmetry")
+    assert basis.call_count > 0
+    product = reference.gf2_mul(code.generator, reference.transpose(code.parity))
+    assert res.product == product
+    ones = [(i, reference.row_ones(product, i)) for i in range(product.rows)]
+    assert res.witness == next(((i, js[0]) for i, js in ones if js), None)
+    ranks = [len(reference.gf2_eliminate(m.bits, m.cols)[1]) for m in (code.generator, code.parity)]
+    assert [res.generator_rank, res.parity_rank] == ranks
+    assert res.ok == (kind != "parity_low_block")
+    assert wit.ok == (kind == "rows_permuted")
 
 
 def gleason_combination(n0, a):

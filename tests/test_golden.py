@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from altmat import build_l_oracle, exact_rank
-from altmat.reports import construction_report, decompose_report
+from altmat.reports import code_report, construction_report, decompose_report, rank_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +34,20 @@ DECOMPOSE_SHA256 = {
 CONSTRUCTION_7_7_SHA256 = "64b2df2df1c3e254cf9d9cf3458cd62be26cf447de582d4e3f9df95a9c7f843c"
 
 
+# sha256 of json.dumps(report, sort_keys=True) for the rational ranks of the
+# square members up to build_a(7, 7) and the sparse codes past the full
+# report's k = 6, whose certificates the identity blocks give
+RANK_7_SHA256 = "f2f20f0ebb1a17e190922cb73d60eb07f98409ee7838d76a68e9aeb2aca99327"
+SPARSE_CODE_SHA256 = {
+    7: "f093a694729c6f6483ae3aa44d4c8c8b2a35067ae96943fd241b209ed5f52e05",
+    8: "140a9b460f5238bf711c868f5c8695bfa775df9c94b293beb1dd4fdf6bf0ad36",
+}
+
+
+def digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_full_report_is_byte_identical():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "full_report.py")],
@@ -45,16 +59,13 @@ def test_full_report_is_byte_identical():
 
 
 def test_construction_report_7_7_is_byte_identical():
-    report = construction_report(7, 7)
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == CONSTRUCTION_7_7_SHA256
+    assert digest(construction_report(7, 7)) == CONSTRUCTION_7_7_SHA256
 
 
 @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
 def test_decompose_report_is_byte_identical(n):
     report = decompose_report(n)
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == DECOMPOSE_SHA256[n]
+    assert digest(report) == DECOMPOSE_SHA256[n]
     # the components are row- and column-disjoint, so the rank is the sum of
     # the block ranks: 240*1 + 60*4 + 1*15 = 495, 672*1 + 280*4 + 14*15 = 2002
     # and 1792*1 + 1120*4 + 112*15 + 1*56 = 8008. decompose_report
@@ -68,3 +79,12 @@ def test_decompose_report_is_byte_identical(n):
         for name, copies in report["blocks"].items()
     )
     assert report["rank"] == block_sum == report["rows"]
+
+
+def test_rank_report_7_is_byte_identical():
+    assert digest(rank_report(7)) == RANK_7_SHA256
+
+
+@pytest.mark.parametrize("k", sorted(SPARSE_CODE_SHA256))
+def test_sparse_code_report_is_byte_identical(k):
+    assert digest(code_report(k, "sparse")) == SPARSE_CODE_SHA256[k]

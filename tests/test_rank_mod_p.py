@@ -1,12 +1,16 @@
-"""Lane-packed rank mod P = 2^31 - 1 against list elimination and rational rank.
+"""Lane-packed rank mod a Mersenne prime against list elimination and rational rank.
 
-Widths 1, 63, 64, 65 and 130 put the 64-bit lanes on both sides of the
-int-digit boundaries. Dense all-ones and random rows push every lane through
-every update. A repeated row, or a row that is the sum of two others, makes
-a matrix rank-deficient, which ``exact_rank`` must hand to Bareiss.
+The default prime is P = 2^31 - 1 (64-bit lanes); ``exact_rank`` tries 31
+(q = 5, 12-bit lanes) first. Widths 1, 63, 64, 65 and 130 put the lanes on
+both sides of the int-digit boundaries. Dense all-ones and random rows push
+every lane through every update. A repeated row, or a row that is the sum of
+two others, makes a matrix rank-deficient, which ``exact_rank`` must hand to
+Bareiss. Wilson's p-rank formula gives the rank of every family member
+modulo a small prime.
 """
 
 import random
+from math import comb
 from unittest import mock
 
 import pytest
@@ -14,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from altmat import BitMatrix, bitmatrix, exact_rank
-from altmat.bitmatrix import RANK_PRIME, rank_mod_p
+from altmat import BitMatrix, bitmatrix, build_a, exact_rank
+from altmat.bitmatrix import _MERSENNE_EXPONENTS, RANK_PRIME, _lane_masks, rank_mod_p
 from conftest import bit_matrices, random_matrix
 
 WIDTHS = (1, 63, 64, 65, 130)
@@ -119,5 +123,89 @@ def test_dense_random_rows_match_list_elimination(m):
 def test_certificate_failure_falls_back_to_bareiss(monkeypatch):
     # det = -2, so full rank over the rationals whatever rank_mod_p says
     m = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    monkeypatch.setattr(bitmatrix, "rank_mod_p", lambda a: 0)
+    monkeypatch.setattr(bitmatrix, "rank_mod_p", lambda a, q: 0)
     assert exact_rank(m) == 3
+
+
+def rank_calls(m):
+    """exact_rank(m), the exponents it tried, and how often it ran Bareiss."""
+    with (
+        mock.patch.object(bitmatrix, "rank_mod_p", wraps=rank_mod_p) as mod_p,
+        mock.patch.object(bitmatrix, "_bareiss_rank", wraps=bitmatrix._bareiss_rank) as bareiss,
+    ):
+        rank = exact_rank(m)
+    return rank, [c.args[1] for c in mod_p.call_args_list], bareiss.call_count
+
+
+def test_a_short_rank_mod_31_is_answered_mod_2_31_minus_1():
+    # det(J - I) = -31 for order 32: rank 31 mod 31, full mod 2^31 - 1
+    m = BitMatrix.hollow_ones(32)
+    assert rank_mod_p(m, 5) == 31
+    assert rank_calls(m) == (32, [5, 31], 0)
+
+
+def test_a_rank_both_primes_fall_short_on_is_answered_by_bareiss():
+    m = dense_deficient(12, 40, 6)
+    rank = reference.rank_by_fractions(m)
+    assert rank < min(m.rows, m.cols)
+    assert rank_calls(m) == (rank, [5, 31], 1)
+
+
+def wilson_rank(k, ell, p):
+    """Rank mod p of build_a(k, ell) by Wilson's formula (Europ. J. Combin. 1990).
+
+    build_a(k, ell) is the inclusion of the (ell-1)- in the ell-subsets of a
+    v-set, v = k + ell - 1, and build_a(ell, k) is its transpose up to the
+    order of rows and columns. For ell <= k the rank mod p is the sum over
+    i < ell with p not dividing ell - i of C(v, i) - C(v, i-1).
+    """
+    if ell > k:
+        k, ell = ell, k
+    v = k + ell - 1
+    return sum(comb(v, i) - (comb(v, i - 1) if i else 0) for i in range(ell) if (ell - i) % p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_family_ranks_mod_a_small_prime_follow_wilsons_formula(q, k):
+    p = (1 << q) - 1
+    for ell in range(1, 7):
+        assert rank_mod_p(build_a(k, ell), q) == wilson_rank(k, ell, p), (k, ell)
+
+
+@settings(max_examples=100)
+@given(st.one_of(LANE_WIDTHS, bit_matrices(max_rows=12, max_cols=40)), st.data())
+def test_rank_mod_31_matches_list_elimination(m, data):
+    if data.draw(st.booleans()):
+        m = with_dependent_row(m, data)
+    for mat in (m, m.transpose()):
+        assert rank_mod_p(mat, 5) == reference.rank_mod(mat, 31)
+
+
+@pytest.mark.parametrize("q", _MERSENNE_EXPONENTS)
+def test_two_folds_keep_every_lane_at_most_p(q):
+    p = (1 << q) - 1
+    lanes = 64
+    digits, lo, hi = _lane_masks(q, lanes)
+    lane_bits = 4 * digits
+    assert lane_bits % 4 == 0 and p * p < 1 << lane_bits and p * p >= 1 << (lane_bits - 4)
+    # a lane at the bound p plus p - 1 times a pivot lane at p is the largest
+    # update; beside it every value below p^2 that the folds treat differently
+    rng = random.Random(q)
+    values = [p * p, p * p - 1, (p - 1) * 2**q, (p - 2) * 2**q + p, 2**q, p, 1, 0]
+    values += [rng.randrange(p * p + 1) for _ in range(lanes - len(values))]
+    row = sum(v << (j * lane_bits) for j, v in enumerate(values))
+    worst = sum(p << (j * lane_bits) for j in range(lanes))
+    for r, expect in ((row, values), (worst + (p - 1) * worst, [p * p] * lanes)):
+        r = (r & lo) + ((r >> q) & hi)
+        r = (r & lo) + ((r >> q) & hi)
+        folded = [r >> (j * lane_bits) & ((1 << lane_bits) - 1) for j in range(lanes)]
+        assert r >> (lanes * lane_bits) == 0
+        assert all(f <= p for f in folded)
+        assert [f % p for f in folded] == [v % p for v in expect]
+
+
+@pytest.mark.parametrize("q", [1, 4, 11, 32])
+def test_rank_mod_p_refuses_an_exponent_that_gives_no_mersenne_prime(q):
+    with pytest.raises(ValueError, match="not a supported Mersenne prime"):
+        rank_mod_p(BitMatrix.identity(2), q)
