@@ -527,9 +527,14 @@ _MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61)
 
 
 def _lanes(word: int, width: int, digits: int) -> int:
-    """word's bits spread to lanes of ``digits`` hex digits: lane j holds bit j."""
-    numeral = format(word, f"0{width}b")
-    return int(numeral.replace("0", "0" * digits).replace("1", "0" * (digits - 1) + "1"), 16)
+    """word's bits spread to lanes of ``digits`` hex digits: lane j holds bit j.
+
+    The hex numeral is all zeros but for the last digit of each lane, which
+    is that lane's binary digit, written in one slice assignment.
+    """
+    numeral = bytearray(b"0" * (width * digits))
+    numeral[digits - 1 :: digits] = format(word, f"0{width}b").encode()
+    return int(numeral, 16)
 
 
 def _lane_masks(q: int, cols: int) -> tuple[int, int, int]:

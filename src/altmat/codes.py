@@ -25,7 +25,7 @@ containing the zero word and keeps the k=4 fit integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .bitmatrix import (
@@ -93,6 +93,11 @@ class CodePair:
     def n0(self) -> int:
         """The code's dimension target: the generator's row count."""
         return self.generator.rows
+
+    @cached_property
+    def _blocks(self) -> BitMatrix | None:
+        """``_identity_blocks(self)``, worked out once per pair."""
+        return _identity_blocks(self)
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def is_parity_check(code: CodePair) -> ParityCheckResult:
     are computed by elimination, so a doctored code still gets its witness.
     """
     n0 = code.n0
-    if _identity_blocks(code) is not None:
+    if code._blocks is not None:
         return ParityCheckResult(True, None, n0, n0, BitMatrix.zeros(n0, n0))
     prod = gf2_mul(code.generator, code.parity.transpose())
     witness = None
@@ -222,7 +227,7 @@ def isodual_witness(code: CodePair) -> IsodualWitness:
         raise ValueError("isodual certificate is defined for the sparse variant")
     n = 2 * code.n0
     sigma = tuple(range(n - 1, -1, -1))
-    a = _identity_blocks(code)
+    a = code._blocks
     if a is not None and flip_transpose(a) == a:
         return IsodualWitness(sigma, True, None)
     # reversing the coordinates of a row reverses its n-digit binary numeral

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bitmatrix import BitMatrix, compose, stack
+from .bitmatrix import BitMatrix
 
 
 def _validate(k: int, ell: int) -> None:
@@ -117,7 +117,14 @@ class Fragmentation:
         return self.tail.cols - self.top.rows
 
     def reassemble(self) -> BitMatrix:
-        return compose([stack(self.top, self.glue), self.tail])
+        """[[T, 0], [I, X]] as one matrix.
+
+        Its rows are written directly: T's rows, then 1 << t | x_t << top.cols
+        for each row x_t of X, with no identity, stack or compose.
+        """
+        shift = self.top.cols
+        glued = (1 << t | w << shift for t, w in enumerate(self.tail.bits))
+        return BitMatrix(self.top.rows + shift, shift + self.tail.cols, (*self.top.bits, *glued))
 
 
 def fragment_a(k: int, ell: int) -> Fragmentation:

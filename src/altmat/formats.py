@@ -16,24 +16,30 @@ ones; an alist section's lines are rendered by ``_weight_line`` and
 ``_index_lines``.
 
 alist and MatrixMarket import have two routes. The canonical route reads
-a payload laid out as export writes it, a whole section at a time: the
-section's text with its digits deleted must be export's blanks and
-newlines (so it is ASCII digits in single-blank-separated lines, the last
-one ending in a newline), it is split once, and its tokens are converted
-through a table ``{str(v): v}`` no longer than the token list, or through
-``int()`` as a whole if the table misses one. MatrixMarket rows are runs
-of equal row tokens, and only the column tokens and one row token per run
-are converted. An alist is read from its row section alone; its
+a payload laid out as export writes it, a window of whole lines at a time
+(``_windows``): each window's text with its digits deleted must be
+export's blanks and newlines (so it is ASCII digits in single-blank-
+separated lines, the last one of the payload ending in a newline), it is
+split once, and its tokens are converted through a table ``{str(v): v}``,
+built once per section and no longer than the payload's token count, or
+through ``int()`` as a whole if the table misses one. MatrixMarket rows
+are runs of equal row tokens, and only the column tokens and one row
+token per run are converted; each run is OR-ed into its row word, so a
+row that a window boundary cuts in two, or whose entries stand apart, is
+read whole. An alist is read from its row section alone; its
 column-weight line and column section must then equal, byte for byte,
 what ``_weight_line`` and ``_index_lines`` render from the columns those
 rows hold. Row words are summed from shifted bits, never set one entry at
 a time, so a repeated index shows as a popcount short of the entry count.
-Beyond the rows of the matrix it returns, everything this route allocates
-is bounded by the payload's length, not by a number its header states.
+Besides the rows of the matrix it returns, this route holds one window
+(its text, bytes, tokens and ints), tables no longer than the token
+count, and for an alist the written row names of each column's ones; it
+never copies a whole section, and nothing it allocates is sized from a
+number its header states.
 
 A payload the canonical route declines (spellings such as "+3", tabs or
-"\\r", a row's MatrixMarket entries apart, alist column lines in another
-order, a missing final newline, and every malformed payload) goes through
+"\\r", alist column lines in another order, a missing final newline, and
+every malformed payload) goes through
 the line-by-line route, which defines the accepted language and every
 error: tokens are read as a plain ``int()`` parse reads them, and errors
 name the first bad line in file order. It sets one entry at a time into
@@ -48,9 +54,9 @@ anything is allocated.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, groupby, islice, repeat
-from operator import add, eq, lshift, ne
+from operator import add, lshift, ne
 
 from . import bitmatrix
 from .bitmatrix import BitMatrix, bit_support, column_supports
@@ -60,6 +66,17 @@ FORMATS = ("alist", "matrixmarket", "dense")
 MM_HEADER = "%%MatrixMarket matrix coordinate pattern general"
 
 _DIGITS = b"0123456789"
+
+# The canonical import routes read a section this many characters at a
+# time, cut back to the last newline (a longer line is a window of its own).
+# Measured on a 2-vCPU Xeon VM, CPython 3.11, importing build_b(6, 6) (1.5
+# MiB payloads): whole sections peaked at 28.9 MiB traced in MatrixMarket
+# and 15.3 MiB in alist. Windows of 2, 8, 32 and 64 KiB peaked at 0.19,
+# 0.39, 1.27 and 2.45 MiB in MatrixMarket (1.85, 1.94, 2.46 and 3.13 MiB in
+# alist, most of it the column lists); from 4 KiB up they imported in
+# 37-45 ms, within the spread of whole sections (45-46 ms), and 2 KiB
+# windows were 5-10 % slower.
+_WINDOW = 1 << 13
 
 
 class MatrixParseError(ValueError):
@@ -143,9 +160,32 @@ def _line_at(text: str, start: int) -> tuple[str, int]:
     return text[start:end], end + 1
 
 
-def _offset(lines: list[str], t: int) -> int:
-    """Where line t (0-based) of the text split into lines starts."""
-    return sum(map(len, islice(lines, t))) + t
+def _line_count(text: str, start: int) -> int:
+    """How many lines ``_lines`` cuts text[start:] into."""
+    if start >= len(text):
+        return 0
+    return text.count("\n", start) + (not text.endswith("\n"))
+
+
+def _windows(text: str, start: int, lines: int) -> Iterator[tuple[int, int, int]]:
+    """The next ``lines`` lines of text from start, cut into windows of whole lines.
+
+    A window is as many whole lines as fit in _WINDOW characters, or one
+    line that alone is longer. text must hold ``lines`` newlines from start
+    on. Yields each window as (start, stop, line count): its text is
+    text[start:stop], and nothing is copied here.
+    """
+    while lines:
+        stop = text.rfind("\n", start, start + _WINDOW) + 1 or text.index("\n", start) + 1
+        n = text.count("\n", start, stop)
+        if n > lines:
+            # the window holds the section's last line and more
+            stop = start
+            for _ in range(lines):
+                stop = text.index("\n", stop) + 1
+            n = lines
+        yield start, stop, n
+        start, lines = stop, lines - n
 
 
 def _check_size(rows: int, cols: int, lineno: int) -> None:
@@ -178,14 +218,20 @@ def _laid_out(section: str, line: bytes, lines: int) -> bool:
     return len(rest) == len(line) * lines and rest == line * lines
 
 
-def _indices(tokens: list[str], first: int, last: int) -> list[int] | None:
+def _table(first: int, last: int, tokens: int) -> dict[str, int]:
+    """{str(v): v} for v from first up to last, at most tokens + 1 entries for that many tokens."""
+    top = min(last, first + tokens)
+    return dict(zip(map(str, range(first, top + 1)), count(first)))
+
+
+def _indices(
+    tokens: list[str], table: dict[str, int], first: int, last: int
+) -> list[int] | None:
     """The digit tokens as ints, or None unless every one is in first..last.
 
-    A table {str(v): v} no longer than the token list converts them; if it
-    misses one, int() converts them all, as the line-by-line route would.
+    ``table`` (from ``_table(first, last, ·)``) converts them; if it misses
+    one, int() converts them all, as the line-by-line route would.
     """
-    top = min(last, first + len(tokens))
-    table = dict(zip(map(str, range(first, top + 1)), count(first)))
     try:
         return list(map(table.__getitem__, tokens))
     except KeyError:
@@ -225,7 +271,7 @@ def _parse_dense(text: str) -> BitMatrix:
 
 def _parse_matrixmarket(text: str) -> BitMatrix:
     # the lines up to the size line are cut off one at a time; the entry
-    # section stays one string, split into lines only to go line by line
+    # section stays in text, split into lines only to go line by line
     if not text:
         raise MatrixParseError(1, "empty payload")
     line, start = _line_at(text, 0)
@@ -248,45 +294,49 @@ def _parse_matrixmarket(text: str) -> BitMatrix:
         raise MatrixParseError(t + 1, "size line must be 'rows cols nnz'")
     rows, cols, nnz = size
     _check_size(rows, cols, t + 1)
-    section = text[after:]
-    got = section.count("\n") + (not section.endswith("\n")) if section else 0
+    got = _line_count(text, after)
     if got != nnz:
         raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {got}")
-    words = _entries_as_written(section, nnz, rows, cols)
+    words = _entries_as_written(text, after, nnz, rows, cols)
     if words is None:
-        words = _entry_words_by_line(_lines(section), t + 2, rows, cols)
+        words = _entry_words_by_line(_lines(text[after:]), t + 2, rows, cols)
     return BitMatrix(rows, cols, tuple(words))
 
 
-def _entries_as_written(section: str, nnz: int, rows: int, cols: int) -> list[int] | None:
-    """Row words of a MatrixMarket entry section laid out as export writes it.
+def _entries_as_written(
+    text: str, start: int, nnz: int, rows: int, cols: int
+) -> list[int] | None:
+    """Row words of the MatrixMarket entries text[start:] laid out as export writes them.
 
     The section must be nnz lines "i j", digits only, the last one ending in
-    a newline. It is split once; each run of equal row tokens is one row, so
+    a newline. It is read a window at a time (``_windows``): each window is
+    split once, and each run of equal row tokens in it is one row piece, so
     only the column tokens and the first row token of each run are
-    converted. None (the section then goes line by line) for any other
-    layout, an index out of range, or a repeated entry or a row in two runs
-    (a later run replaces the earlier one), which leave the popcount short
-    of nnz.
+    converted. The pieces are OR-ed into the row words, which joins a row
+    that a window boundary cuts in two or whose entries stand apart. None
+    (the section then goes line by line) for any other layout, an index out
+    of range, or a repeated entry, which leaves the popcount short of nnz.
     """
-    if not _laid_out(section, b" \n", nnz):
+    if not text.endswith("\n"):
         return None
-    tokens = section.split()
-    if len(tokens) != 2 * nnz:
-        return None
-    if not nnz:
-        return [0] * rows
-    # runs of equal row tokens: as written, one run per row
-    runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
-    jj = _indices(tokens[1::2], 1, cols)
-    del tokens
-    ii = _indices([token for token, _ in runs], 1, rows)
-    if ii is None or jj is None:
-        return None
-    ends = list(accumulate(length for _, length in runs))
+    col_table, row_table = _table(1, cols, nnz), _table(1, rows, nnz)
     words = [0] * rows
-    for i, start, end in zip(ii, [0, *ends], ends):
-        words[i - 1] = _word(jj[start:end])
+    for begin, stop, n in _windows(text, start, nnz):
+        window = text[begin:stop]
+        if not _laid_out(window, b" \n", n):
+            return None
+        tokens = window.split()
+        if len(tokens) != 2 * n:
+            return None
+        # runs of equal row tokens: as written, one run per row and window
+        runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
+        jj = _indices(tokens[1::2], col_table, 1, cols)
+        ii = _indices([token for token, _ in runs], row_table, 1, rows)
+        if ii is None or jj is None:
+            return None
+        ends = list(accumulate(length for _, length in runs))
+        for i, first, end in zip(ii, [0, *ends], ends):
+            words[i - 1] |= _word(jj[first:end])
     if sum(map(int.bit_count, words)) != nnz:
         return None
     return words
@@ -310,24 +360,32 @@ def _entry_words_by_line(
 
 
 def _parse_alist(text: str) -> BitMatrix:
-    lines = _lines(text)
-    if not lines:
+    # the four header lines are cut off one at a time; the index sections
+    # stay in text, split into lines only to go line by line
+    if not text:
         raise MatrixParseError(1, "empty payload")
-    head = _ints(lines[0], 1)
+    line, start = _line_at(text, 0)
+    head = _ints(line, 1)
     if len(head) != 2 or head[0] < 1 or head[1] < 1:
         raise MatrixParseError(1, "header must be 'ncols nrows'")
     cols, rows = head
     _check_size(rows, cols, 1)
-    if len(lines) != 4 + cols + rows:
+    got = _line_count(text, 0)
+    if got != 4 + cols + rows:
         raise MatrixParseError(
-            len(lines), f"expected {4 + cols + rows} lines for {cols} columns, {rows} rows"
+            got, f"expected {4 + cols + rows} lines for {cols} columns, {rows} rows"
         )
-    maxima = _ints(lines[1], 2)
+    # the count leaves at least six lines, so the next three are all there
+    header = []
+    for _ in range(3):
+        line, start = _line_at(text, start)
+        header.append(line)
+    maxima = _ints(header[0], 2)
     if len(maxima) != 2:
         raise MatrixParseError(2, "second line must be 'cmax rmax'")
     cmax, rmax = maxima
-    col_weights = _ints(lines[2], 3)
-    row_weights = _ints(lines[3], 4)
+    col_weights = _ints(header[1], 3)
+    row_weights = _ints(header[2], 4)
     if len(col_weights) != cols:
         raise MatrixParseError(3, f"expected {cols} column weights, got {len(col_weights)}")
     if len(row_weights) != rows:
@@ -338,68 +396,79 @@ def _parse_alist(text: str) -> BitMatrix:
         raise MatrixParseError(2, "rmax does not match the row weights")
     if sum(col_weights) != sum(row_weights):
         raise MatrixParseError(4, "row and column weights disagree on the number of ones")
-    words = _alist_as_written(text, lines, cols, cmax, rmax, row_weights)
+    words = _alist_as_written(text, start, cols, cmax, rmax, header[1], row_weights)
     if words is None:
-        words = _alist_words_by_line(lines, cols, rows, col_weights, row_weights)
+        words = _alist_words_by_line(_lines(text), cols, rows, col_weights, row_weights)
     return BitMatrix(rows, cols, tuple(words))
 
 
 def _alist_as_written(
-    text: str, lines: list[str], cols: int, cmax: int, rmax: int, row_weights: list[int]
+    text: str, start: int, cols: int, cmax: int, rmax: int, weight_line: str,
+    row_weights: list[int],
 ) -> list[int] | None:
-    """Row words of an alist body laid out as export writes it, or None.
+    """Row words of the alist body text[start:], laid out as export writes it, or None.
 
     Both index sections must be lines of exactly cmax (rmax) digit tokens
     separated by single blanks, the last line ending in a newline. The words
-    are read from the row section alone: row i's first row_weights[i] tokens
-    must be distinct indices (its popcount says so) and all its other tokens
-    zeros (the zero count says so). The column-weight line and the column
+    are read from the row section alone, a window at a time
+    (``_windows``): row i's first row_weights[i] tokens must be distinct
+    indices (its popcount says so) and all its other tokens zeros (the zero
+    count says so). The column-weight line ``weight_line`` and the column
     section must then be what export's renderers write for the columns
-    those rows hold. None (the payload then goes line by line) otherwise.
+    those rows hold, compared a window at a time. None (the payload then
+    goes line by line) otherwise.
     """
     rows = len(row_weights)
     # true of every payload as written, and it bounds the lines the layout
     # checks build by the payload's line count
-    if not (0 <= cmax <= rows and 0 <= rmax <= cols):
+    if not (0 <= cmax <= rows and 0 <= rmax <= cols and text.endswith("\n")):
         return None
-    col_start, row_start = _offset(lines, 4), _offset(lines, 4 + cols)
-    if not _laid_out(text[col_start:row_start], b" " * (cmax - 1) + b"\n", cols):
-        return None
-    section = text[row_start:]
-    if not _laid_out(section, b" " * (rmax - 1) + b"\n", rows):
-        return None
-    tokens = section.split()
-    del section
-    if len(tokens) != rows * rmax:
-        return None
-    values = _indices(tokens, 0, cols)
-    del tokens
-    if values is None:
-        return None
-    if values.count(0) != len(values) - sum(row_weights):
-        return None
-    # with rmax = 0 every row is empty and any start will do
-    starts = range(0, rows * rmax, rmax) if rmax else range(rows)
-    segments = map(slice, starts, map(add, starts, row_weights))
-    words = list(map(_word, map(values.__getitem__, segments)))
-    if any(map(ne, map(int.bit_count, words), row_weights)):
-        return None
+    col_line = b" " * (cmax - 1) + b"\n"
+    row_start = start
+    for begin, row_start, n in _windows(text, start, cols):
+        if not _laid_out(text[begin:row_start], col_line, n):
+            return None
+    row_line = b" " * (rmax - 1) + b"\n"
+    table = _table(0, cols, rows * rmax)
+    words: list[int] = []
     # the rows holding each column, written and in order; only a column
     # that holds a one gets a list, as a list for every column would cost a
     # wide payload with few ones more than going line by line
     holders: defaultdict[int, list[str]] = defaultdict(list)
-    segments = map(slice, starts, map(add, starts, row_weights))
-    for name, segment in compress(zip(map(str, count(1)), segments), row_weights):
-        for j in values[segment]:
-            holders[j].append(name)
-    names = list(map(str, range(max(map(len, holders.values()), default=0) + 1)))
-    if _weight_line(map(holders.get, range(1, cols + 1), repeat([])), names) != lines[2]:
+    for begin, stop, n in _windows(text, row_start, rows):
+        window = text[begin:stop]
+        if not _laid_out(window, row_line, n):
+            return None
+        tokens = window.split()
+        if len(tokens) != n * rmax:
+            return None
+        values = _indices(tokens, table, 0, cols)
+        if values is None:
+            return None
+        first = len(words)
+        weights = row_weights[first : first + n]
+        if values.count(0) != len(values) - sum(weights):
+            return None
+        # with rmax = 0 every row is empty and any start will do
+        starts = range(0, n * rmax, rmax) if rmax else range(n)
+        segments = map(slice, starts, map(add, starts, weights))
+        words += map(_word, map(values.__getitem__, segments))
+        segments = map(slice, starts, map(add, starts, weights))
+        row_names = map(str, count(first + 1))
+        for name, segment in compress(zip(row_names, segments), weights):
+            for j in values[segment]:
+                holders[j].append(name)
+    if any(map(ne, map(int.bit_count, words), row_weights)):
         return None
-    # each column line of the payload holds cmax tokens (checked above), so
+    names = list(map(str, range(max(map(len, holders.values()), default=0) + 1)))
+    if _weight_line(map(holders.get, range(1, cols + 1), repeat([])), names) != weight_line:
+        return None
+    # each column line of the payload holds cmax tokens (checked first), so
     # no rendered line pads past the payload's
     col_lines = _index_lines(map(holders.get, range(1, cols + 1), repeat([])), cmax)
-    if not all(map(eq, col_lines, islice(lines, 4, 4 + cols))):
-        return None
+    for begin, stop, n in _windows(text, start, cols):
+        if text[begin:stop] != "\n".join(islice(col_lines, n)) + "\n":
+            return None
     return words
 
 

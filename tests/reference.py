@@ -17,13 +17,17 @@ stack a matrix for every block of the family recursion and join the blocks
 with a fill instead of writing each member's rows directly. ``tail_split``
 cuts a ``Fragmentation``'s tail as (B | A) after its gap (top.rows)
 columns, which the library never does: it reads the whole tail in one
-product. None of this is used by the library.
+product. ``reassemble_by_blocks`` joins a ``Fragmentation`` from an
+identity, a stack and a compose instead of writing its rows, and
+``lanes_by_replace`` spreads a row into rank_mod_p's lanes with two
+``str.replace`` passes instead of one slice assignment. None of this is
+used by the library.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from altmat import BitMatrix, stack
+from altmat import BitMatrix, compose, stack
 from altmat.bitmatrix import column_supports, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
@@ -376,6 +380,17 @@ def gleason_fit(w: WeightEnumerator, n0: int) -> GleasonFit:
         if val:
             residual.append((wt, int(val)))
     return GleasonFit((), False, tuple(residual))
+
+
+def lanes_by_replace(word, width, digits):
+    """word's bits as lanes of ``digits`` hex digits, lane j holding bit j."""
+    numeral = format(word, f"0{width}b")
+    return int(numeral.replace("0", "0" * digits).replace("1", "0" * (digits - 1) + "1"), 16)
+
+
+def reassemble_by_blocks(frag):
+    """[[T, 0], [I, X]]: T stacked over the identity, then X joined beside them."""
+    return compose([stack(frag.top, BitMatrix.identity(frag.top.cols)), frag.tail])
 
 
 def rank_mod(m, p):

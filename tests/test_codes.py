@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 
 import reference
-from altmat import codes, reports
+from altmat import bitmatrix, codes, reports
 from altmat import (
     BitMatrix,
     CodePair,
@@ -164,6 +164,22 @@ def test_sparse_certificates_are_read_off_the_identity_blocks(k):
         assert len(reference.gf2_eliminate(m.bits, m.cols)[1]) == n0
     permuted = reference.submatrix(code.parity, range(n0), wit.permutation)
     assert reference.isodual_counterexample(code.generator, permuted) is None
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_a_sparse_pair_reads_its_blocks_once(k):
+    # one transpose to check the parity's low block, one flip for
+    # persymmetry, however many certificates are asked for
+    code = make_code(k, "sparse")
+    with (
+        mock.patch.object(codes, "_identity_blocks", wraps=codes._identity_blocks) as blocks,
+        mock.patch.object(bitmatrix, "_transpose_words", wraps=bitmatrix._transpose_words) as t,
+    ):
+        for _ in range(2):
+            assert is_parity_check(code).ok
+            assert isodual_witness(code).ok
+    assert blocks.call_count == 1
+    assert t.call_count == 3
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from altmat import (
@@ -13,6 +15,7 @@ from altmat import (
     flip_transpose,
     fragment_a,
 )
+from conftest import bit_matrices
 
 GRID = [(k, ell) for k in range(1, 7) for ell in range(1, 7)]
 
@@ -110,6 +113,14 @@ def test_grid_fragment_reassembles(k, ell):
     assert frag.reassemble() == build_a(k, ell)
     g = comb(k + ell - 2, ell - 2)
     assert (frag.gap, frag.message_len) == (g, comb(k + ell - 2, ell) - g)
+
+
+@settings(max_examples=60)
+@given(bit_matrices(max_rows=5, max_cols=70), st.data())
+def test_reassembly_matches_the_block_join(top, data):
+    tail = data.draw(bit_matrices(min_rows=top.cols, max_rows=top.cols, max_cols=70))
+    frag = Fragmentation(top, tail)
+    assert frag.reassemble() == reference.reassemble_by_blocks(frag)
 
 
 def test_fragment_hand_values():

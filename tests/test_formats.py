@@ -292,6 +292,19 @@ def test_empty_shapes_allocate_no_more_than_the_reference(fmt, text):
     assert peak <= 1.1 * ref_peak + 4096
 
 
+@pytest.mark.parametrize("fmt", ["alist", "matrixmarket"])
+def test_a_dense_import_peaks_at_a_window_not_a_section(fmt):
+    # build_b(6, 6) is 462 x 462 with 456 ones per row: 1.5 MiB in either
+    # format, which token lists of whole sections turn into 15-29 MiB
+    m = build_b(6, 6)
+    text = export_matrix(m, fmt)
+    peak, got = traced_peak(import_matrix, text, fmt)
+    assert got == m
+    # one window, its tables and the rows returned; an alist adds each
+    # column's list of row names
+    assert peak < (3 * len(text) if fmt == "alist" else 1 << 20)
+
+
 @pytest.mark.parametrize("fmt", ["alist", "matrixmarket", "dense"])
 def test_size_limit_is_inclusive_and_counts_rows_64_wide(monkeypatch, fmt):
     monkeypatch.setattr(bitmatrix, "MAX_CELLS", 1000)

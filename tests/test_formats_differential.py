@@ -7,10 +7,13 @@ columns, widths 63, 64, 65 and 130, rows on both sides of the density at
 which ``supports()`` switches method, and lines of several hundred
 indices. Every payload export writes must be read by the canonical route
 alone, without the line-by-line route; payloads a step from that layout
-must still read as the reference reads them.
+must still read as the reference reads them. The same checks run again with
+windows of 1, 2, 7 and 64 characters, so that alist rows and MatrixMarket
+runs of a row are cut by window boundaries.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -164,8 +167,8 @@ NEAR_MISS = [random_matrix(5, 9, seed) for seed in range(4)] + [
 ]
 
 
-@pytest.mark.parametrize("m", NEAR_MISS, ids=lambda m: f"{m.rows}x{m.cols}-{m.bits[0]}")
-def test_payloads_a_step_from_export_match_reference(m):
+def check_steps_from_export(m):
+    """Payloads a step from m's exports read as the reference reads them."""
     # each reads like export's payload to a check that looks at too little:
     # the same tokens over other lines, or an index where a zero pads a line
     mm, alist = export_matrix(m, "matrixmarket"), export_matrix(m, "alist")
@@ -177,6 +180,11 @@ def test_payloads_a_step_from_export_match_reference(m):
     for fmt, text in payloads:
         assert text != export_matrix(m, fmt)
         assert outcome(import_matrix, text, fmt) == outcome(reference.import_matrix, text, fmt)
+
+
+@pytest.mark.parametrize("m", NEAR_MISS, ids=lambda m: f"{m.rows}x{m.cols}-{m.bits[0]}")
+def test_payloads_a_step_from_export_match_reference(m):
+    check_steps_from_export(m)
 
 
 def test_a_repeat_in_both_alist_sections_matches_reference():
@@ -286,3 +294,52 @@ def test_mutated_long_lines_match_reference(m, fmt):
     for kind in MUTATIONS * 3:
         bad = mutate(text, fmt, kind, rng, max(m.rows, m.cols))
         assert outcome(import_matrix, bad, fmt) == outcome(reference.import_matrix, bad, fmt)
+
+
+# Windows narrower than a line (each line then is one), a line or two, and
+# several lines: row runs and rows are cut by window boundaries.
+WINDOWS = (1, 2, 7, 64)
+
+
+@contextmanager
+def window_of(size):
+    """The canonical import routes read ``size`` characters at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_WINDOW", size)
+        yield
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@settings(max_examples=30)
+@given(MATRICES)
+def test_round_trips_match_reference_at_every_window(window, m):
+    with window_of(window):
+        check_codecs(m)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@settings(max_examples=75)
+@given(
+    MATRICES,
+    st.sampled_from(SPARSE_FORMATS),
+    st.sampled_from(MUTATIONS),
+    st.randoms(use_true_random=False),
+)
+def test_mutated_payloads_match_reference_at_every_window(window, m, fmt, kind, rng):
+    text = mutate(export_matrix(m, fmt), fmt, kind, rng, max(m.rows, m.cols))
+    with window_of(window):
+        assert outcome(import_matrix, text, fmt) == outcome(reference.import_matrix, text, fmt)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("m", LONG_LINES + ZEROS, ids=lambda m: f"{m.rows}x{m.cols}")
+def test_long_and_zero_lines_match_reference_at_every_window(window, m):
+    with window_of(window):
+        check_codecs(m)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_payloads_a_step_from_export_match_reference_at_every_window(window):
+    with window_of(window):
+        for m in NEAR_MISS:
+            check_steps_from_export(m)

@@ -209,3 +209,15 @@ def test_two_folds_keep_every_lane_at_most_p(q):
 def test_rank_mod_p_refuses_an_exponent_that_gives_no_mersenne_prime(q):
     with pytest.raises(ValueError, match="not a supported Mersenne prime"):
         rank_mod_p(BitMatrix.identity(2), q)
+
+
+@pytest.mark.parametrize("q", _MERSENNE_EXPONENTS)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_lanes_match_the_replace_spelling(q, width):
+    digits = _lane_masks(q, width)[0]
+    rng = random.Random(f"{q}-{width}")
+    full = (1 << width) - 1
+    words = [0, 1, full, 1 << (width - 1), full >> 1] + [rng.getrandbits(width) for _ in range(20)]
+    for word in words:
+        lanes = bitmatrix._lanes(word, width, digits)
+        assert lanes == reference.lanes_by_replace(word, width, digits)
