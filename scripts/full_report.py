@@ -38,8 +38,8 @@ def main() -> int:
 
     report = {
         "construction": construction_report(args.kmax, args.lmax),
-        "square_rank": rank_report(5),
-        "incidence_oracle": oracle_report(5),
+        "square_rank": rank_report(),
+        "incidence_oracle": oracle_report(),
         "decompose": {
             "n4": decompose_report(4),
             "n5": decompose_report(5),

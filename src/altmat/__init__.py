@@ -2,14 +2,12 @@
 
 from .bitmatrix import (
     BitMatrix,
-    compose,
     exact_rank,
     flip_transpose,
     gf2_matvec,
     gf2_mul,
     gf2_rank,
     gf2_solve,
-    stack,
 )
 from .codes import (
     CodePair,

@@ -1,4 +1,4 @@
-"""Exact (0,1)-matrix core: GF(2) arithmetic, rational rank, block composition.
+"""Exact (0,1)-matrix core: bit transforms, GF(2) arithmetic, rational rank.
 
 Rows are packed into Python ints (bit j = column j), so whole-row XOR and
 masking are single int operations and sizes in the thousands of columns
@@ -310,12 +310,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def hollow_ones(cls, n: int) -> "BitMatrix":
-        """All-ones matrix minus the identity."""
-        word = (1 << n) - 1
-        return cls(n, n, tuple(word ^ (1 << i) for i in range(n)))
-
     # -- element access ----------------------------------------------------
 
     def supports(self) -> list[list[int]]:
@@ -358,38 +352,6 @@ class BitMatrix:
     def columns(self) -> tuple[int, ...]:
         """The packed columns (bit i = row i), built on first use, freed with the matrix."""
         return tuple(_transpose_words(self.bits, self.cols))
-
-
-# -- block composition -------------------------------------------------------
-
-
-def stack(upper: BitMatrix, lower: BitMatrix) -> BitMatrix:
-    """Place ``lower`` below ``upper`` (both must have the same width)."""
-    if upper.cols != lower.cols:
-        raise ValueError("width mismatch in vertical stack")
-    return BitMatrix(upper.rows + lower.rows, upper.cols, upper.bits + lower.bits)
-
-
-def compose(blocks: Sequence[BitMatrix]) -> BitMatrix:
-    """Join blocks side by side, bottoms aligned, with zeros above the shorter ones.
-
-    Block heights must be non-increasing left to right.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    heights = [b.rows for b in blocks]
-    if any(h2 > h1 for h1, h2 in zip(heights, heights[1:])):
-        raise ValueError("block row counts must be non-increasing left to right")
-    total_rows = heights[0]
-    total_cols = sum(b.cols for b in blocks)
-    words = [0] * total_rows
-    offset = 0
-    for b in blocks:
-        pad = total_rows - b.rows
-        for i, w in enumerate(b.bits):
-            words[pad + i] |= w << offset
-        offset += b.cols
-    return BitMatrix(total_rows, total_cols, tuple(words))
 
 
 def flip_transpose(a: BitMatrix) -> BitMatrix:
@@ -643,7 +605,7 @@ def _bareiss_rank(a: BitMatrix) -> int:
     divisions below are exact integer divisions and no floating point is
     involved.
     """
-    m = [list(row) for row in a.to_lists()]
+    m = a.to_lists()
     nrows, ncols = a.rows, a.cols
     rank = 0
     prev = 1

@@ -24,6 +24,7 @@ from .families import build_a, build_b, dims_of
 from .formats import FORMATS, MatrixParseError, export_matrix, import_matrix
 from .incidence import build_l_oracle, build_m, l_oracle_dims, m_dims
 from .reports import (
+    RANK_GRID_KMAX,
     code_report,
     construction_report,
     decompose_report,
@@ -108,8 +109,8 @@ def _cmd_verify(args) -> int:
     report = construction_report(kmax, lmax)
     if args.ranks:
         # the square cells (k, k) and the oracle's cells (k, k-1) of the grid
-        report["square_rank"] = rank_report(min(kmax, lmax, 5))
-        report["incidence_oracle"] = oracle_report(min(kmax, lmax + 1, 5))
+        report["square_rank"] = rank_report(min(kmax, lmax, RANK_GRID_KMAX))
+        report["incidence_oracle"] = oracle_report(min(kmax, lmax + 1, RANK_GRID_KMAX))
         report["ok"] = bool(
             report["ok"] and report["square_rank"]["ok"] and report["incidence_oracle"]["ok"]
         )

@@ -3,13 +3,15 @@
 The sparse code has generator (I | A) and check matrix (A^T | I) with
 A = build_a(k-1, k-1), a square persymmetric matrix of order
 n0 = C(2k-3, k-2); the dense variant uses (J-I | B) and (B^T | I) with
-B the complement family member. The sparse pair's parity-check and
-isodual certificates are read off its blocks: with identity blocks in
-place and the parity's low block equal to A^T, G·H^T = A + A = 0 and both
-ranks are n0, and with A persymmetric, reversing all coordinates carries
-each parity row onto a generator row. Every other pair is multiplied out,
-ranked and reduced, so a doctored code still yields its counterexample.
-Weight enumerators are computed by exact
+B the complement family member. ``make_code`` writes generator row i as
+unit row i (complemented, for J-I) beside core row i, and parity row i as
+core column i beside unit row i, with no block built. The sparse pair's
+parity-check and isodual certificates are read off its blocks: with
+identity blocks in place and the parity's low block equal to A^T,
+G·H^T = A + A = 0 and both ranks are n0, and with A persymmetric,
+reversing all coordinates carries each parity row onto a generator row.
+Every other pair is multiplied out, ranked and reduced, so a doctored code
+still yields its counterexample. Weight enumerators are computed by exact
 enumeration at desk scale, the weights of thousands of codewords at a time
 in bit-sliced counters; the minimum distance is read off the enumerator
 (``WeightEnumerator.min_distance``), beside ``distance_bound(n0)``. Fits against the Gleason
@@ -33,7 +35,6 @@ from .bitmatrix import (
     BitMatrix,
     bit_sliced_sum,
     bit_support,
-    compose,
     flip_transpose,
     gf2_basis,
     gf2_mul,
@@ -156,15 +157,16 @@ def code_dims(k: int) -> tuple[int, int]:
 
 def make_code(k: int, variant: str) -> CodePair:
     """[2*n0, n0] code pair for n0 = C(2k-3, k-2); variant 'sparse' or 'dense'."""
-    n0, _ = code_dims(k)
+    n0, n = code_dims(k)
     if variant == "sparse":
-        core, left = build_a(k - 1, k - 1), BitMatrix.identity(n0)
+        core, left = build_a(k - 1, k - 1), 0
     elif variant == "dense":
-        core, left = build_b(k - 1, k - 1), BitMatrix.hollow_ones(n0)
+        core, left = build_b(k - 1, k - 1), (1 << n0) - 1
     else:
         raise ValueError("variant must be 'sparse' or 'dense'")
-    par = compose([core.transpose(), BitMatrix.identity(n0)])
-    return CodePair(compose([left, core]), par, variant)
+    gen = (left ^ 1 << i | w << n0 for i, w in enumerate(core.bits))
+    par = (w | 1 << (n0 + i) for i, w in enumerate(core.transpose().bits))
+    return CodePair(BitMatrix(n0, n, tuple(gen)), BitMatrix(n0, n, tuple(par)), variant)
 
 
 def _identity_blocks(code: CodePair) -> BitMatrix | None:

@@ -7,10 +7,11 @@ triangular form (identity in the bottom-left corner for ell >= 2).
 rather than by subtraction.
 
 Both recursions write each member's rows straight into one word list
-(``_join``), with no identity, stack or matrix made per block.
+(``_join``), with no matrix made per block.
 
 ``fragment_a`` states build_a's Richardson–Urbanke split [[T, 0], [I, X]]
-once, for the encoder too: a ``Fragmentation`` holds only T and X.
+once, for the encoder too: a ``Fragmentation`` holds only T and X, and
+``reassemble`` writes the identity I into its rows as it joins them.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def build_b(k: int, ell: int) -> BitMatrix:
 class Fragmentation:
     """Split [[T, 0], [I, X]] of build_a(k, ell), held as top T and tail X.
 
-    The glue I is the identity of order top.cols, which the tail's rows must
+    I is the identity of order top.cols, which the tail's row count must
     match; the gap top.rows cuts the tail as X = (B | A), A message_len wide.
     """
 
@@ -103,10 +104,6 @@ class Fragmentation:
     def __post_init__(self) -> None:
         if self.tail.rows != self.top.cols:
             raise ValueError(f"tail has {self.tail.rows} rows, not top.cols = {self.top.cols}")
-
-    @property
-    def glue(self) -> BitMatrix:
-        return BitMatrix.identity(self.top.cols)
 
     @property
     def gap(self) -> int:
@@ -120,7 +117,7 @@ class Fragmentation:
         """[[T, 0], [I, X]] as one matrix.
 
         Its rows are written directly: T's rows, then 1 << t | x_t << top.cols
-        for each row x_t of X, with no identity, stack or compose.
+        for each row x_t of X, with no block built as a matrix.
         """
         shift = self.top.cols
         glued = (1 << t | w << shift for t, w in enumerate(self.tail.bits))

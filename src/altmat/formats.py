@@ -105,24 +105,23 @@ def export_matrix(m: BitMatrix, fmt: str) -> str:
     if fmt == "alist":
         row_idx = m.supports()
         col_idx = column_supports(row_idx, m.cols)
-        row_lists = [list(map(one_based.__getitem__, s)) for s in row_idx]
-        col_lists = [list(map(one_based.__getitem__, s)) for s in col_idx]
-        cmax = max(map(len, col_lists))
-        rmax = max(map(len, row_lists))
+        cmax = max(map(len, col_idx))
+        rmax = max(map(len, row_idx))
         lines = [
             f"{m.cols} {m.rows}",
             f"{cmax} {rmax}",
-            _weight_line(col_lists, names),
-            _weight_line(row_lists, names),
+            _weight_line(col_idx, names),
+            _weight_line(row_idx, names),
         ]
-        lines.extend(_index_lines(col_lists, cmax))
-        lines.extend(_index_lines(row_lists, rmax))
+        # the names of one line's indices are looked up as that line is rendered
+        for idx, width in ((col_idx, cmax), (row_idx, rmax)):
+            lines.extend(_index_lines((list(map(one_based.__getitem__, s)) for s in idx), width))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _weight_line(index_lists: Iterable[list[str]], names: Sequence[str]) -> str:
-    """An alist weight line: names[len(s)] for each list s of written indices."""
+def _weight_line(index_lists: Iterable[Sequence], names: Sequence[str]) -> str:
+    """An alist weight line: names[len(s)] for each list s of indices."""
     return " ".join(map(names.__getitem__, map(len, index_lists)))
 
 

@@ -36,6 +36,8 @@ from .incidence import build_l_oracle, build_m, decompose_blocks, permutation_eq
 ENCODER_GRID = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4))
 RANDOM_MESSAGES = 100
 RANDOM_SEED = 29041
+# largest k of the square-rank and oracle grids; the full report's bytes depend on it
+RANK_GRID_KMAX = 5
 
 
 def construction_report(kmax: int, lmax: int) -> dict:
@@ -87,7 +89,7 @@ def construction_report(kmax: int, lmax: int) -> dict:
     return {"kind": "construction", "kmax": kmax, "lmax": lmax, "ok": all_ok, "cells": cells}
 
 
-def rank_report(kmax: int = 5) -> dict:
+def rank_report(kmax: int = RANK_GRID_KMAX) -> dict:
     """Exact rational rank of the square members against C(2k-1, k-1), k = 2..kmax."""
     if kmax < 2:
         raise ValueError(f"square_rank needs kmax >= 2, got {kmax}")
@@ -162,7 +164,7 @@ def decompose_report(n: int, include_rank: bool = True) -> dict:
     return out
 
 
-def oracle_report(kmax: int = 5) -> dict:
+def oracle_report(kmax: int = RANK_GRID_KMAX) -> dict:
     """Permutation equivalence of the inclusion matrices with build_a(k, k-1).
 
     The two matrices are equal bit for bit, which ``permutation_equivalent``

@@ -20,14 +20,17 @@ columns, which the library never does: it reads the whole tail in one
 product. ``reassemble_by_blocks`` joins a ``Fragmentation`` from an
 identity, a stack and a compose instead of writing its rows, and
 ``lanes_by_replace`` spreads a row into rank_mod_p's lanes with two
-``str.replace`` passes instead of one slice assignment. None of this is
-used by the library.
+``str.replace`` passes instead of one slice assignment. The block
+builders ``hollow_ones``, ``stack`` and ``compose`` live here too, for
+these oracles and for the tests that join ``make_code``'s pairs from
+blocks: the library writes each block layout's rows where it builds
+them. None of this is used by the library.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from altmat import BitMatrix, compose, stack
+from altmat import BitMatrix
 from altmat.bitmatrix import column_supports, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
@@ -97,11 +100,46 @@ def flip_transpose(a):
     return BitMatrix(c, r, tuple(words))
 
 
+def hollow_ones(n):
+    """All-ones matrix minus the identity, J - I of order n."""
+    word = (1 << n) - 1
+    return BitMatrix(n, n, tuple(word ^ (1 << i) for i in range(n)))
+
+
+def stack(upper, lower):
+    """Place ``lower`` below ``upper`` (both must have the same width)."""
+    if upper.cols != lower.cols:
+        raise ValueError("width mismatch in vertical stack")
+    return BitMatrix(upper.rows + lower.rows, upper.cols, upper.bits + lower.bits)
+
+
+def compose(blocks):
+    """Join blocks side by side, bottoms aligned, with zeros above the shorter ones.
+
+    Block heights must be non-increasing left to right.
+    """
+    if not blocks:
+        raise ValueError("need at least one block")
+    heights = [b.rows for b in blocks]
+    if any(h2 > h1 for h1, h2 in zip(heights, heights[1:])):
+        raise ValueError("block row counts must be non-increasing left to right")
+    total_rows = heights[0]
+    total_cols = sum(b.cols for b in blocks)
+    words = [0] * total_rows
+    offset = 0
+    for b in blocks:
+        pad = total_rows - b.rows
+        for i, w in enumerate(b.bits):
+            words[pad + i] |= w << offset
+        offset += b.cols
+    return BitMatrix(total_rows, total_cols, tuple(words))
+
+
 def join_blocks(blocks, fill):
     """Blocks side by side, bottoms aligned, the cells above a shorter block set to fill.
 
     The general block join that ``build_a_by_blocks`` and
-    ``build_b_by_blocks`` use; ``compose`` in the library joins with zero fill.
+    ``build_b_by_blocks`` use; ``compose`` joins with zero fill.
     """
     total_rows = blocks[0].rows
     words = [0] * total_rows
@@ -142,7 +180,7 @@ def build_a_by_blocks(k, ell):
 
 def build_b_by_blocks(k, ell):
     """build_b(k, ell) as a join of the blocks stack(build_b(j, ell-1), J - I), fill 1."""
-    return _family_by_blocks(k, ell, BitMatrix.zeros, BitMatrix.hollow_ones, 1)
+    return _family_by_blocks(k, ell, BitMatrix.zeros, hollow_ones, 1)
 
 
 def gf2_mul(a, b):

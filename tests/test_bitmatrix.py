@@ -6,17 +6,23 @@ from hypothesis import strategies as st
 
 from altmat import (
     BitMatrix,
-    compose,
     exact_rank,
     flip_transpose,
     gf2_mul,
     gf2_rank,
     gf2_solve,
-    stack,
 )
 from altmat.bitmatrix import pack_bits, unpack_bits
 from conftest import bit_matrices, square_bit_matrices
-from reference import anti_identity, col_sums, join_blocks, rank_by_fractions
+from reference import (
+    anti_identity,
+    col_sums,
+    compose,
+    hollow_ones,
+    join_blocks,
+    rank_by_fractions,
+    stack,
+)
 
 A22 = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -246,8 +252,8 @@ def test_compose_zero_fill_hand_value():
 
 
 def test_compose_one_fill_hand_value():
-    o2 = stack(BitMatrix.zeros(1, 2), BitMatrix.hollow_ones(2))
-    o1 = stack(BitMatrix.zeros(1, 1), BitMatrix.hollow_ones(1))
+    o2 = stack(BitMatrix.zeros(1, 2), hollow_ones(2))
+    o1 = stack(BitMatrix.zeros(1, 1), hollow_ones(1))
     assert join_blocks([o2, o1], fill=1) == BitMatrix.from_rows(
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     )

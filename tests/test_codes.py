@@ -12,6 +12,7 @@ from altmat import (
     WeightEnumerator,
     ZeroCodeError,
     build_a,
+    build_b,
     distance_bound,
     gf2_mul,
     gf2_rank,
@@ -82,6 +83,18 @@ def test_code_dims_are_the_shape_of_make_code(k, variant):
     assert dims == (code.n0, 2 * code.n0)
     assert (code.generator.rows, code.generator.cols) == dims
     assert (code.parity.rows, code.parity.cols) == dims
+
+
+@pytest.mark.parametrize("variant", ["sparse", "dense"])
+@pytest.mark.parametrize("k", range(3, 9))
+def test_make_code_is_the_pair_joined_from_blocks(k, variant):
+    # (I | A), (A^T | I) and (J - I | B), (B^T | I), joined block by block
+    code = make_code(k, variant)
+    core = (build_a if variant == "sparse" else build_b)(k - 1, k - 1)
+    n0 = core.rows
+    left = BitMatrix.identity(n0) if variant == "sparse" else reference.hollow_ones(n0)
+    assert code.generator == reference.compose([left, core])
+    assert code.parity == reference.compose([core.transpose(), BitMatrix.identity(n0)])
 
 
 @pytest.mark.parametrize("k", range(3, 12))

@@ -28,7 +28,7 @@ GRID = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 4)]
 def test_split_32_hand_values():
     p = fragment_a(3, 2)
     assert p.top == BitMatrix.ones(1, 3)
-    assert p.glue == BitMatrix.identity(3)
+    assert BitMatrix.identity(p.top.cols) == BitMatrix.identity(3)
     assert reference.tail_split(p) == (
         BitMatrix.from_rows([[1], [1], [0]]),
         BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]),
@@ -58,7 +58,7 @@ def test_split_reassembles_bit_exactly(k, ell):
     # the rows above the identity block vanish beyond its column range
     h = build_a(k, ell)
     for i in range(p.top.rows):
-        assert h.bits[i] >> p.glue.cols == 0
+        assert h.bits[i] >> p.top.cols == 0
 
 
 @pytest.mark.parametrize("k,ell", ENCODER_GRID)

@@ -108,7 +108,7 @@ def test_grid_bottom_left_identity(k, ell):
 def test_grid_fragment_reassembles(k, ell):
     frag = fragment_a(k, ell)
     assert frag.top == build_a(k, ell - 1)
-    assert frag.glue == BitMatrix.identity(comb(k + ell - 2, ell - 1))
+    assert BitMatrix.identity(frag.top.cols) == BitMatrix.identity(comb(k + ell - 2, ell - 1))
     assert frag.tail == build_a(k - 1, ell)
     assert frag.reassemble() == build_a(k, ell)
     g = comb(k + ell - 2, ell - 2)
@@ -126,17 +126,17 @@ def test_reassembly_matches_the_block_join(top, data):
 def test_fragment_hand_values():
     frag = fragment_a(2, 2)
     assert frag.top == BitMatrix.ones(1, 2)
-    assert frag.glue == BitMatrix.identity(2)
+    assert BitMatrix.identity(frag.top.cols) == BitMatrix.identity(2)
     assert frag.tail == BitMatrix.ones(2, 1)
 
     frag = fragment_a(3, 3)
     assert (frag.top.rows, frag.top.cols) == (4, 6)
-    assert frag.glue == BitMatrix.identity(6)
+    assert BitMatrix.identity(frag.top.cols) == BitMatrix.identity(6)
     assert (frag.tail.rows, frag.tail.cols) == (6, 4)
 
     frag = fragment_a(4, 2)
     assert frag.top == BitMatrix.ones(1, 4)
-    assert frag.glue == BitMatrix.identity(4)
+    assert BitMatrix.identity(frag.top.cols) == BitMatrix.identity(4)
 
 
 def test_fragmentation_refuses_a_tail_the_glue_cannot_sit_beside():

@@ -3,7 +3,16 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "altmat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "altmat"
+
+# public entry points that nothing in src/altmat or scripts/ calls
+NO_LIBRARY_CALLER = {
+    "gf2_solve": "the GF(2) solver of the public API, kept for callers of the package",
+    "BitMatrix.from_rows": "builds a matrix from nested 0/1 lists, as a caller writes one",
+    "BitMatrix.identity": "the identity matrix, a public constructor beside zeros and ones",
+    "WeightEnumerator.as_dict": "reads an enumerator as {weight: count} for a caller",
+}
 
 
 def library_nodes():
@@ -81,3 +90,39 @@ def test_library_has_no_unused_imports():
         if (name, alias) not in used
     ]
     assert found == []
+
+
+def test_every_library_definition_has_a_caller():
+    # a function, class, method or property that nothing in the library or
+    # scripts names is a route only tests keep alive; it belongs in
+    # tests/reference.py, or on NO_LIBRARY_CALLER if it is public API
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, functions):
+                defined[node.name] = path.name
+            elif isinstance(node, ast.ClassDef):
+                defined[node.name] = path.name
+                for item in node.body:
+                    if isinstance(item, functions):
+                        defined[f"{node.name}.{item.name}"] = path.name
+    callers = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py"))
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    # names match by spelling alone, so any variable or attribute of the
+    # same name counts as a caller; dunder methods are called by the
+    # interpreter, not by name
+    uncalled = []
+    for name, module in defined.items():
+        bare = name.rpartition(".")[2]
+        if bare not in named and not bare.startswith("__"):
+            uncalled.append(f"{module}: {name}")
+    listed = [f"{defined.get(name, '(not defined)')}: {name}" for name in NO_LIBRARY_CALLER]
+    assert sorted(uncalled) == sorted(listed)

@@ -91,9 +91,9 @@ def test_rank_mod_p_never_exceeds_the_rational_rank(m):
     "m,rank",
     [
         # det(J - I) = (-1)^(n-1) (n-1)
-        pytest.param(BitMatrix.hollow_ones(64), 64, id="hollow64"),
-        pytest.param(BitMatrix.hollow_ones(65), 65, id="hollow65"),
-        pytest.param(BitMatrix.hollow_ones(130), 130, id="hollow130"),
+        pytest.param(reference.hollow_ones(64), 64, id="hollow64"),
+        pytest.param(reference.hollow_ones(65), 65, id="hollow65"),
+        pytest.param(reference.hollow_ones(130), 130, id="hollow130"),
         pytest.param(staircase(65), 65, id="staircase65"),
         pytest.param(staircase(130), 130, id="staircase130"),
         pytest.param(BitMatrix.ones(5, 130), 1, id="ones5x130"),
@@ -139,7 +139,7 @@ def rank_calls(m):
 
 def test_a_short_rank_mod_31_is_answered_mod_2_31_minus_1():
     # det(J - I) = -31 for order 32: rank 31 mod 31, full mod 2^31 - 1
-    m = BitMatrix.hollow_ones(32)
+    m = reference.hollow_ones(32)
     assert rank_mod_p(m, 5) == 31
     assert rank_calls(m) == (32, [5, 31], 0)
 
