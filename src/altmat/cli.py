@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     check_size(f"decompose --n {args.n}", m_dims(args.n))
-    report = decompose_report(args.n, include_rank=not args.skip_rank)
+    report = decompose_report(args.n)
     _emit_report(report, args.out)
     return EXIT_OK if report["unidentified"] == 0 else EXIT_CHECK
 
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", allow_abbrev=False, help="block decomposition report")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--skip-rank", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)
 

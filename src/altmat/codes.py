@@ -246,8 +246,9 @@ def weight_enumerator(code: CodePair | BitMatrix) -> WeightEnumerator:
     """Exact codeword-weight histogram, counted bit-sliced over the row space.
 
     The codewords are taken 2^b at a time, b = min(dim, _BLOCK_DIM) or fewer
-    for a code so wide that its planes would pass MAX_CELLS bits: plane j
-    holds coordinate j of all 2^b combinations of the first b basis members
+    for a code so wide that its planes would pass MAX_CELLS bits. Only the
+    live coordinates, those some basis member touches, get a plane: plane j
+    holds the j-th of them in all 2^b combinations of the first b members
     (bit t for the combination of the members at the set bits of t), so
     adding the planes in bit-sliced counters (``bit_sliced_sum``) gives every
     combination's weight at once. The other members are stepped through in
@@ -266,23 +267,26 @@ def weight_enumerator(code: CodePair | BitMatrix) -> WeightEnumerator:
             f"({ENUMERATION_LIMIT}); beyond it only sampled estimates are "
             f"feasible, and those are out of scope"
         )
-    # the planes of the coordinates some member touches hold at most
-    # MAX_CELLS bits, however wide the code
-    live = reduce(or_, basis, 0).bit_count()
-    b = min(dim, _BLOCK_DIM, max(0, (MAX_CELLS // max(live, 1)).bit_length() - 1))
+    # only the coordinates some member touches can be 1 in a codeword, so
+    # planes and counts are kept for those alone, renumbered in order; their
+    # planes hold at most MAX_CELLS bits, however wide the code
+    live = bit_support(reduce(or_, basis, 0), gen.cols)
+    index = {j: t for t, j in enumerate(live)}
+    supports = [[index[j] for j in bit_support(member, gen.cols)] for member in basis]
+    b = min(dim, _BLOCK_DIM, max(0, (MAX_CELLS // max(len(live), 1)).bit_length() - 1))
     size = 1 << b
     full = (1 << size) - 1
-    planes = [0] * gen.cols
-    for i, member in enumerate(basis[:b]):
+    planes = [0] * len(live)
+    for i, support in enumerate(supports[:b]):
         # bit t set where t has bit i: runs of 2^i zeros then 2^i ones
         select, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
         while span < size:
             select |= select << span
             span *= 2
-        for j in bit_support(member, gen.cols):
+        for j in support:
             planes[j] ^= select
-    steps = [bit_support(member, gen.cols) for member in basis[b:]]
-    counts = [0] * (gen.cols + 1)
+    steps = supports[b:]
+    counts = [0] * (len(live) + 1)
     for t in range(1 << len(steps)):
         if t:
             for j in steps[(t & -t).bit_length() - 1]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from . import bitmatrix
 from .bitmatrix import BitMatrix
 
 
@@ -29,9 +30,19 @@ def _validate(k: int, ell: int) -> None:
 
 
 def dims_of(k: int, ell: int) -> tuple[int, int]:
-    """Order of build_a(k, ell): (C(k+ell-1, ell-1), C(k+ell-1, ell))."""
+    """Order of build_a(k, ell): (C(k+ell-1, ell-1), C(k+ell-1, ell)).
+
+    An order past bitmatrix.MAX_CELLS by a bound that costs nothing is
+    refused before any binomial is computed: with n = k+ell-1 the rows are
+    C(n, ell-1), and C(n, r) >= n and C(n, r) >= 2^min(r, n-r) for
+    0 < r < n. Past neither bound, both binomials have a few hundred digits.
+    """
     _validate(k, ell)
-    return comb(k + ell - 1, ell - 1), comb(k + ell - 1, ell)
+    n = k + ell - 1
+    limit = bitmatrix.MAX_CELLS
+    if n > limit or min(k, ell) > limit.bit_length():
+        raise ValueError(f"build_a({k}, {ell}) would be past the limit of {limit} cells")
+    return comb(n, ell - 1), comb(n, ell)
 
 
 def _join(children: list[BitMatrix], hollow: bool) -> BitMatrix:

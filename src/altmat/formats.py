@@ -20,42 +20,44 @@ a payload laid out as export writes it, a window of whole lines at a time
 (``_windows``): each window's text with its digits deleted must be
 export's blanks and newlines (so it is ASCII digits in single-blank-
 separated lines, the last one of the payload ending in a newline), it is
-split once, and its tokens are converted through a table ``{str(v): v}``,
-built once per section and no longer than the payload's token count, or
-through ``int()`` as a whole if the table misses one. MatrixMarket rows
-are runs of equal row tokens, and only the column tokens and one row
-token per run are converted; each run is OR-ed into its row word, so a
-row that a window boundary cuts in two, or whose entries stand apart, is
-read whole. An alist is read from its row section alone; its
-column-weight line and column section must then equal, byte for byte,
-what ``_weight_line`` and ``_index_lines`` render from the columns those
-rows hold. Row words are summed from shifted bits, never set one entry at
-a time, so a repeated index shows as a popcount short of the entry count.
-Besides the rows of the matrix it returns, this route holds one window
-(its text, bytes, tokens and ints), tables no longer than the token
-count, and for an alist the written row names of each column's ones; it
-never copies a whole section, and nothing it allocates is sized from a
-number its header states.
+split once, and its index tokens are converted through a table
+``{str(v): v}``, built once per section and no longer than the payload's
+token count, or through ``int()`` as a whole if the table misses one.
+MatrixMarket rows are runs of equal row tokens: the column tokens go
+through the table, and ``int()`` reads one row token per run, with no
+table; each run is OR-ed into its row word, so a row that a window
+boundary cuts in two, or whose entries stand apart, is read whole. An
+alist is read from its row section alone. Its column weights, which the
+header parse has already read from line 3 as ints, are compared as
+integers, not byte for byte, with the number of rows each column holds,
+and its column section must equal, byte for byte, what ``_index_lines``
+renders for those rows. Row words are summed from shifted bits, never set
+one entry at a time, so a repeated index shows as a popcount short of the
+entry count. Besides the rows of the matrix it returns, this route holds
+one window (its text, bytes, tokens and ints), tables no longer than the
+token count, and for an alist the written row names of each column's
+ones; it never copies a whole section, and nothing it allocates is sized
+from a number its header states.
 
 A payload the canonical route declines (spellings such as "+3", tabs or
-"\\r", alist column lines in another order, a missing final newline, and
-every malformed payload) goes through
-the line-by-line route, which defines the accepted language and every
-error: tokens are read as a plain ``int()`` parse reads them, and errors
-name the first bad line in file order. It sets one entry at a time into
-the row words, so a repeated index is the bit already set, and compares
-each alist row line with the ones of its word. Besides the payload's
-lines it holds the row words and one line's tokens at a time, and an
-alist's row count is bounded by its line count. A header whose shape is
-past ``bitmatrix.within_limit`` is refused on its size line before
-anything is allocated.
+"\\r" outside the header, alist column lines in another order, a missing
+final newline, and every malformed payload) goes through the
+line-by-line route, which defines the accepted language and every error:
+tokens are read as a plain ``int()`` parse reads them, and errors name
+the first bad line in file order. It sets one entry at a time into the
+row words, so a repeated index is the bit already set, and compares each
+alist row line with the ones of its word. Besides the payload's lines it
+holds the row words and one line's tokens at a time, and an alist's row
+count is bounded by its line count. A header whose shape is past
+``bitmatrix.within_limit`` is refused on its size line before anything
+is allocated.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, compress, count, groupby, islice, repeat
+from itertools import accumulate, count, groupby, islice, repeat
 from operator import add, lshift, ne
 
 from . import bitmatrix
@@ -131,13 +133,15 @@ def _index_lines(index_lists: Iterable[list[str]], width: int) -> Iterable[str]:
 
 
 def import_matrix(text: str, fmt: str) -> BitMatrix:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if not text:
+        raise MatrixParseError(1, "empty payload")
     if fmt == "dense":
         return _parse_dense(text)
     if fmt == "matrixmarket":
         return _parse_matrixmarket(text)
-    if fmt == "alist":
-        return _parse_alist(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _parse_alist(text)
 
 
 def _lines(text: str) -> list[str]:
@@ -228,8 +232,8 @@ def _indices(
 ) -> list[int] | None:
     """The digit tokens as ints, or None unless every one is in first..last.
 
-    ``table`` (from ``_table(first, last, ·)``) converts them; if it misses
-    one, int() converts them all, as the line-by-line route would.
+    ``table`` (from ``_table(first, last, ·)``, or empty) converts them; if
+    it misses one, int() converts them all, as the line-by-line route would.
     """
     try:
         return list(map(table.__getitem__, tokens))
@@ -253,8 +257,6 @@ def _word(indices: Sequence[int]) -> int:
 
 def _parse_dense(text: str) -> BitMatrix:
     lines = _lines(text)
-    if not lines:
-        raise MatrixParseError(1, "empty payload")
     width = len(lines[0])
     _check_size(len(lines), width, 1)
     words = []
@@ -271,8 +273,6 @@ def _parse_dense(text: str) -> BitMatrix:
 def _parse_matrixmarket(text: str) -> BitMatrix:
     # the lines up to the size line are cut off one at a time; the entry
     # section stays in text, split into lines only to go line by line
-    if not text:
-        raise MatrixParseError(1, "empty payload")
     line, start = _line_at(text, 0)
     header = line.split()
     expected = MM_HEADER.split()
@@ -309,16 +309,16 @@ def _entries_as_written(
 
     The section must be nnz lines "i j", digits only, the last one ending in
     a newline. It is read a window at a time (``_windows``): each window is
-    split once, and each run of equal row tokens in it is one row piece, so
-    only the column tokens and the first row token of each run are
-    converted. The pieces are OR-ed into the row words, which joins a row
+    split once, and each run of equal row tokens in it is one row piece: the
+    column tokens go through a table, and int() reads the first row token of
+    each run. The pieces are OR-ed into the row words, which joins a row
     that a window boundary cuts in two or whose entries stand apart. None
     (the section then goes line by line) for any other layout, an index out
     of range, or a repeated entry, which leaves the popcount short of nnz.
     """
     if not text.endswith("\n"):
         return None
-    col_table, row_table = _table(1, cols, nnz), _table(1, rows, nnz)
+    col_table = _table(1, cols, nnz)
     words = [0] * rows
     for begin, stop, n in _windows(text, start, nnz):
         window = text[begin:stop]
@@ -330,7 +330,7 @@ def _entries_as_written(
         # runs of equal row tokens: as written, one run per row and window
         runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
         jj = _indices(tokens[1::2], col_table, 1, cols)
-        ii = _indices([token for token, _ in runs], row_table, 1, rows)
+        ii = _indices([token for token, _ in runs], {}, 1, rows)
         if ii is None or jj is None:
             return None
         ends = list(accumulate(length for _, length in runs))
@@ -361,8 +361,6 @@ def _entry_words_by_line(
 def _parse_alist(text: str) -> BitMatrix:
     # the four header lines are cut off one at a time; the index sections
     # stay in text, split into lines only to go line by line
-    if not text:
-        raise MatrixParseError(1, "empty payload")
     line, start = _line_at(text, 0)
     head = _ints(line, 1)
     if len(head) != 2 or head[0] < 1 or head[1] < 1:
@@ -395,15 +393,14 @@ def _parse_alist(text: str) -> BitMatrix:
         raise MatrixParseError(2, "rmax does not match the row weights")
     if sum(col_weights) != sum(row_weights):
         raise MatrixParseError(4, "row and column weights disagree on the number of ones")
-    words = _alist_as_written(text, start, cols, cmax, rmax, header[1], row_weights)
+    words = _alist_as_written(text, start, cmax, rmax, col_weights, row_weights)
     if words is None:
         words = _alist_words_by_line(_lines(text), cols, rows, col_weights, row_weights)
     return BitMatrix(rows, cols, tuple(words))
 
 
 def _alist_as_written(
-    text: str, start: int, cols: int, cmax: int, rmax: int, weight_line: str,
-    row_weights: list[int],
+    text: str, start: int, cmax: int, rmax: int, col_weights: list[int], row_weights: list[int]
 ) -> list[int] | None:
     """Row words of the alist body text[start:], laid out as export writes it, or None.
 
@@ -412,12 +409,12 @@ def _alist_as_written(
     are read from the row section alone, a window at a time
     (``_windows``): row i's first row_weights[i] tokens must be distinct
     indices (its popcount says so) and all its other tokens zeros (the zero
-    count says so). The column-weight line ``weight_line`` and the column
-    section must then be what export's renderers write for the columns
-    those rows hold, compared a window at a time. None (the payload then
-    goes line by line) otherwise.
+    count says so). Each column must then hold as many of those rows as
+    ``col_weights`` (line 3, already read as ints) says, and the column
+    section must be what ``_index_lines`` writes for them, compared a
+    window at a time. None (the payload then goes line by line) otherwise.
     """
-    rows = len(row_weights)
+    cols, rows = len(col_weights), len(row_weights)
     # true of every payload as written, and it bounds the lines the layout
     # checks build by the payload's line count
     if not (0 <= cmax <= rows and 0 <= rmax <= cols and text.endswith("\n")):
@@ -451,16 +448,13 @@ def _alist_as_written(
         # with rmax = 0 every row is empty and any start will do
         starts = range(0, n * rmax, rmax) if rmax else range(n)
         segments = map(slice, starts, map(add, starts, weights))
-        words += map(_word, map(values.__getitem__, segments))
-        segments = map(slice, starts, map(add, starts, weights))
-        row_names = map(str, count(first + 1))
-        for name, segment in compress(zip(row_names, segments), weights):
-            for j in values[segment]:
+        for name, row in zip(map(str, count(first + 1)), map(values.__getitem__, segments)):
+            words.append(_word(row))
+            for j in row:
                 holders[j].append(name)
     if any(map(ne, map(int.bit_count, words), row_weights)):
         return None
-    names = list(map(str, range(max(map(len, holders.values()), default=0) + 1)))
-    if _weight_line(map(holders.get, range(1, cols + 1), repeat([])), names) != weight_line:
+    if any(map(ne, map(len, map(holders.get, range(1, cols + 1), repeat([]))), col_weights)):
         return None
     # each column line of the payload holds cmax tokens (checked first), so
     # no rendered line pads past the payload's

@@ -38,12 +38,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, groupby
 from math import comb
 from operator import itemgetter
 
+from . import bitmatrix
 from .bitmatrix import BitMatrix, column_supports
 from .families import build_a, dims_of
 
@@ -61,9 +62,16 @@ def l_oracle_dims(k: int) -> tuple[int, int]:
 
 
 def m_dims(n: int) -> tuple[int, int]:
-    """Order of build_m(n): (C(2n, n-2), C(2n, n))."""
+    """Order of build_m(n): (C(2n, n-2), C(2n, n)).
+
+    C(2n, n-2) >= 2^(n-2), so a row count past bitmatrix.MAX_CELLS is
+    refused before any binomial is computed.
+    """
     if n < 4:
         raise ValueError("need n >= 4")
+    limit = bitmatrix.MAX_CELLS
+    if n - 2 >= limit.bit_length():
+        raise ValueError(f"build_m({n}) would be past the limit of {limit} cells")
     return comb(2 * n, n - 2), comb(2 * n, n)
 
 
@@ -287,17 +295,18 @@ def permutation_equivalent(a: BitMatrix, b: BitMatrix) -> bool:
 # -- block decomposition -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockReport:
     """Identified diagonal blocks of an incidence matrix.
 
-    ``blocks`` maps labels like "L_3" to multiplicities; components that
-    match no candidate are only counted in ``unidentified``.
+    ``blocks`` maps labels like "L_3" to multiplicities, in label order;
+    components that match no candidate are only counted in ``unidentified``.
+    ``decompose_blocks`` builds it once, whole, and it is frozen.
     """
 
-    blocks: dict[str, int] = field(default_factory=dict)
-    zero_columns: int = 0
-    unidentified: int = 0
+    blocks: dict[str, int]
+    zero_columns: int
+    unidentified: int
 
 
 def _candidate_order(rows: int, cols: int) -> int | None:
@@ -323,10 +332,9 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
     row is a component without columns, and unidentified.
     """
     adj = _vertex_adjacency(m)
-    report = BlockReport()
-    report.zero_columns = sum(1 for ones in adj[m.rows :] if not ones)
     seen = [False] * len(adj)
     labels: Counter[str] = Counter()
+    unidentified = 0
     for start in range(m.rows):
         if seen[start]:
             continue
@@ -340,7 +348,7 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
         comp.sort()
         split = bisect_left(comp, m.rows)
         if split == len(comp):
-            report.unidentified += 1
+            unidentified += 1
             continue
         # the component's rows, renumbered to its own columns, from the
         # supports already in hand
@@ -351,6 +359,6 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
         if j is not None and permutation_equivalent(sub, build_a(j, j - 1)):
             labels[f"L_{j}"] += 1
         else:
-            report.unidentified += 1
-    report.blocks = dict(sorted(labels.items()))
-    return report
+            unidentified += 1
+    zero_columns = sum(1 for ones in adj[m.rows :] if not ones)
+    return BlockReport(dict(sorted(labels.items())), zero_columns, unidentified)

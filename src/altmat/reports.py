@@ -103,8 +103,8 @@ def rank_report(kmax: int = RANK_GRID_KMAX) -> dict:
     return {"kind": "square_rank", "ok": ok, "entries": entries}
 
 
-def decompose_report(n: int, include_rank: bool = True) -> dict:
-    """Block structure of build_m(n), with measured-versus-nominal counts.
+def decompose_report(n: int) -> dict:
+    """Block structure and rank of build_m(n), with measured-versus-nominal counts.
 
     decompose_blocks certifies each component of build_m(n) by bit equality
     with build_a(j, j-1) and searches for a permutation only where that
@@ -142,25 +142,24 @@ def decompose_report(n: int, include_rank: bool = True) -> dict:
             "matches_n_copies": measured == n,
             "matches_two_n_copies": measured == 2 * n,
         }
-    if include_rank:
-        if rep.unidentified == 0:
-            rank = 0
-            for name, copies in rep.blocks.items():
-                j = int(name.removeprefix("L_"))
-                rank += copies * exact_rank(build_a(j, j - 1))
-        else:
-            rank = exact_rank(m)
-        out["rank"] = rank
-        out["full_row_rank"] = rank == m.rows
-        # the two candidate readings of the stated rank value
-        out["rank_candidates"] = {
-            "c_2n_choose_n_minus_2": comb(2 * n, n - 2),
-            "c_n_choose_n_minus_2": comb(n, n - 2),
-        }
-        out["rank_matches"] = (
-            "c_2n_choose_n_minus_2" if rank == comb(2 * n, n - 2) else
-            "c_n_choose_n_minus_2" if rank == comb(n, n - 2) else "neither"
-        )
+    if rep.unidentified == 0:
+        rank = 0
+        for name, copies in rep.blocks.items():
+            j = int(name.removeprefix("L_"))
+            rank += copies * exact_rank(build_a(j, j - 1))
+    else:
+        rank = exact_rank(m)
+    out["rank"] = rank
+    out["full_row_rank"] = rank == m.rows
+    # the two candidate readings of the stated rank value
+    out["rank_candidates"] = {
+        "c_2n_choose_n_minus_2": comb(2 * n, n - 2),
+        "c_n_choose_n_minus_2": comb(n, n - 2),
+    }
+    out["rank_matches"] = (
+        "c_2n_choose_n_minus_2" if rank == comb(2 * n, n - 2) else
+        "c_n_choose_n_minus_2" if rank == comb(n, n - 2) else "neither"
+    )
     return out
 
 

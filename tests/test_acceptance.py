@@ -108,7 +108,7 @@ def test_criterion_4_block_decomposition():
 
     # the odd-case copy count: measured 10 = 2n, not the nominal n = 5;
     # the report must carry the delta explicitly rather than hide it
-    report = decompose_report(5, include_rank=False)
+    report = decompose_report(5)
     copies = report["top_block_copies"]
     assert copies["measured"] == 10
     assert copies["matches_n_copies"] is False

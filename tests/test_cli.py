@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from altmat import bitmatrix, build_a, build_b, export_matrix, import_matrix
 from altmat import cli, codes, encoder, families, reports
 from altmat.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -119,8 +125,15 @@ def test_decompose_reports_blocks(capsys):
     assert rep["blocks"] == {"L_2": 24, "L_3": 1}
     assert rep["zero_columns"] == 16
     assert rep["rank"] == 28
-    code, out, _ = run(capsys, "decompose", "--n", "4", "--skip-rank")
-    assert "rank" not in json.loads(out)
+
+
+def test_decompose_has_no_skip_rank_flag(capsys):
+    # the report always carries the rank: it is the sum of the block ranks
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--n", "4", "--skip-rank"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --skip-rank" in err
 
 
 def test_code_subcommands(capsys):
@@ -257,12 +270,38 @@ def test_oversized_builds_are_refused_before_building(monkeypatch, capsys):
         ("code", "gen", "--k", "5"),
         ("code", "isodual", "--k", "5", "--variant", "dense"),
         ("encode", "--k", "6", "--l", "4", "--message", "1"),
-        ("decompose", "--n", "5", "--skip-rank"),
+        ("decompose", "--n", "5"),
         ("verify", "--grid", "4", "4"),
     ]
     for argv in past:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "limit of 2000 cells" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "a", "--k", "300000", "--l", "300000"),
+        ("gen", "a", "--k", "100000", "--l", "100000"),
+        ("code", "isodual", "--k", "1000000"),
+        ("decompose", "--n", "1000000"),
+        ("verify", "--grid", "1000000", "1000000"),
+        ("encode", "--k", "1000001", "--l", "1000000", "--message", "1"),
+    ],
+    ids=" ".join,
+)
+def test_a_request_far_past_the_limit_is_refused_at_once(argv):
+    # each order has hundreds of thousands of digits: it is bounded, not
+    # computed, so the refusal takes no time and prints no order
+    proc = subprocess.run(
+        [sys.executable, "-m", "altmat", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=2,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "past the limit of 134217728 cells" in proc.stderr, proc.stderr
 
 
 def test_code_weights_and_mindist_past_the_enumeration_guard_are_refused(monkeypatch, capsys):

@@ -80,3 +80,18 @@ def test_the_guard_refuses_dimension_25_before_allocating_planes():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 1024
+
+
+def test_a_wide_code_keeps_planes_for_its_live_coordinates_only():
+    # two members touching columns 0 and 1 of 2^20: planes and counts for
+    # every column would be 16 MiB, for the two live ones a few words
+    gen = BitMatrix(2, 1 << 20, (1, 3))
+    tracemalloc.start()
+    try:
+        w = weight_enumerator(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.length == 1 << 20
+    assert w.coeffs == ((0, 1), (1, 2), (2, 1))
+    assert peak < 1 << 20

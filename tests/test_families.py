@@ -8,6 +8,7 @@ import reference
 from altmat import (
     BitMatrix,
     Fragmentation,
+    bitmatrix,
     build_a,
     build_b,
     dims_of,
@@ -24,6 +25,23 @@ def test_dims_hand_values():
     assert dims_of(2, 2) == (3, 3)
     assert dims_of(4, 3) == (15, 20)
     assert dims_of(1, 5) == (5, 1)
+
+
+def test_dims_refuse_only_orders_past_the_limit():
+    # the cheap bound refuses an order without computing it; every order it
+    # refuses is past within_limit, and every other one is exact
+    for k in range(1, 41):
+        for ell in range(1, 41):
+            order = comb(k + ell - 1, ell - 1), comb(k + ell - 1, ell)
+            try:
+                assert dims_of(k, ell) == order
+            except ValueError as exc:
+                assert str(exc) == f"build_a({k}, {ell}) would be past the limit of {1 << 27} cells"
+                assert not bitmatrix.within_limit(*order)
+    assert dims_of(28, 28) == (comb(55, 27), comb(55, 28))
+    for k, ell in ((29, 29), (10**6, 10**6), (1, 2**27 + 1), (2**27 + 1, 1), (5, 10**30)):
+        with pytest.raises(ValueError, match="past the limit"):
+            dims_of(k, ell)
 
 
 def test_dims_rejects_nonpositive():

@@ -64,6 +64,13 @@ def test_empty_payload_is_a_parse_error(fmt):
         import_matrix("", fmt)
 
 
+def test_an_unknown_format_is_refused_before_the_payload_is_read():
+    # the format name is checked first, so an empty payload still names it
+    with pytest.raises(ValueError, match="unknown format 'bogus'") as exc:
+        import_matrix("", "bogus")
+    assert not isinstance(exc.value, MatrixParseError)
+
+
 def test_dense_rejects_ragged_and_foreign_characters():
     with pytest.raises(MatrixParseError, match="line 2"):
         import_matrix("10\n1\n", "dense")

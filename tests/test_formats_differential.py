@@ -187,6 +187,18 @@ def test_payloads_a_step_from_export_match_reference(m):
     check_steps_from_export(m)
 
 
+@pytest.mark.parametrize("m", [build_b(5, 5), build_a(7, 5)], ids=lambda m: f"{m.rows}x{m.cols}")
+def test_a_respelled_column_weight_line_is_read_as_written(m):
+    # line 3 is compared as integers: a leading zero and a double blank
+    # leave the payload on the canonical route
+    lines = export_matrix(m, "alist").split("\n")
+    weights = lines[2].split()
+    weights[0] = "0" + weights[0]
+    lines[2] = " ".join(weights[:2]) + "  " + " ".join(weights[2:])
+    text = "\n".join(lines)
+    assert read_as_written(text, "alist") == m == reference.import_matrix(text, "alist")
+
+
 def test_a_repeat_in_both_alist_sections_matches_reference():
     # row 1 lists column 1 twice and column 1 lists row 1 twice: the two
     # sections agree with each other, and only the repeat is wrong

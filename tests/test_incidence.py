@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -25,8 +26,8 @@ from altmat import (
     symplectic_pairs,
 )
 from altmat import incidence
-from altmat.bitmatrix import column_supports
-from altmat.incidence import l_oracle_dims
+from altmat.bitmatrix import column_supports, within_limit
+from altmat.incidence import l_oracle_dims, m_dims
 from conftest import bit_matrices
 
 
@@ -102,6 +103,21 @@ def test_family_is_the_lexicographic_inclusion_matrix(k, ell):
     w = inclusion_matrix(ell - 1, k + ell - 1)
     assert build_a(k, ell) == w
     assert build_b(k, ell) == w.complement()
+
+
+def test_m_dims_refuse_only_orders_past_the_limit():
+    # C(2n, n-2) >= 2^(n-2): the bound refuses from n = 30 on, and every
+    # order it refuses is past within_limit
+    for n in range(4, 41):
+        order = comb(2 * n, n - 2), comb(2 * n, n)
+        if n < 30:
+            assert m_dims(n) == order
+        else:
+            with pytest.raises(ValueError, match=f"build_m\\({n}\\) would be past the limit"):
+                m_dims(n)
+            assert not within_limit(*order)
+    with pytest.raises(ValueError, match="past the limit"):
+        m_dims(10**6)
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -463,6 +479,13 @@ def test_decompose_n5():
     assert rep.blocks == {"L_2": 80, "L_3": 10}
     assert rep.zero_columns == 32
     assert rep.unidentified == 0
+
+
+@pytest.mark.parametrize("field", ["blocks", "zero_columns", "unidentified"])
+def test_a_block_report_is_frozen(field):
+    rep = decompose_blocks(build_m(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rep, field, 0)
 
 
 def no_pair_tuples(n: int, size: int) -> int:

@@ -14,14 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 EXT = {"alist": "alist", "matrixmarket": "mtx", "dense": "txt"}
 
 
-def run_script(name, *argv, cwd=None):
+def run_script(name, *argv, cwd=None, timeout=60):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -72,3 +72,15 @@ def test_full_report_refuses_a_grid_before_building(tmp_path, argv, message):
     proc = run_script("full_report.py", "--out", str(out), *argv)
     assert proc.returncode == 2 and message in proc.stderr, proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["full_report.py", "export_grid.py"])
+def test_a_grid_far_past_the_limit_is_refused_at_once(tmp_path, name):
+    # build_a(10^6, 10^6) has an order of 600000 digits: bounded, not computed
+    argv = ["--kmax", "1000000", "--lmax", "1000000"]
+    if name == "export_grid.py":
+        argv.insert(0, str(tmp_path / "grid"))
+    proc = run_script(name, *argv, timeout=2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "build_a(1000000, 1000000) would be past the limit" in proc.stderr, proc.stderr
+    assert not (tmp_path / "grid").exists()
