@@ -29,6 +29,7 @@ from .encoder import (
     make_encoder,
     split_sizes,
     verify_codeword,
+    verify_codewords,
 )
 from .families import Fragmentation, build_a, build_b, dims_of, fragment_a
 from .formats import MatrixParseError, export_matrix, import_matrix

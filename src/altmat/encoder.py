@@ -17,8 +17,11 @@ particular solution for e_j. With Y = (particular | I), whose row j is
 (p1 | e_j), they are built in bulk as (Y · Xᵀ | Y), one product for the
 whole tail X = (B | A), just as the gap system is the one product
 T·X = (T·B | T·A). A codeword is the XOR of the generator rows its
-message selects. Verification XORs the columns of the cached
-build_a(k, ell) that the word selects (``gf2_matvec``).
+message selects. Verification of one word XORs the columns of the cached
+build_a(k, ell) that the word selects (``gf2_matvec``); a batch of words,
+the rows of a matrix W, is verified by one product H·Wᵀ
+(``verify_codewords``), which XORs rows of Wᵀ at H's few ones per row
+instead of H's columns at about half the bits of every word.
 """
 
 from __future__ import annotations
@@ -129,3 +132,11 @@ def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
     if len(x) != h.cols:
         raise ValueError(f"word must have length {h.cols}, got {len(x)}")
     return gf2_matvec(h, x) == 0
+
+
+def verify_codewords(k: int, ell: int, words: BitMatrix) -> bool:
+    """True iff build_a(k, ell) · w = 0 over GF(2) for every row w of words."""
+    h = build_a(k, ell)
+    if words.cols != h.cols:
+        raise ValueError(f"word must have length {h.cols}, got {words.cols}")
+    return gf2_mul(h, words.transpose()).is_zero()

@@ -309,15 +309,18 @@ class BlockReport:
     unidentified: int
 
 
-def _candidate_order(rows: int, cols: int) -> int | None:
+def _candidate_orders(rows: int) -> dict[tuple[int, int], int]:
+    """{l_oracle_dims(j): j} for every j >= 2 whose matrix has at most rows rows.
+
+    The row count C(2j-2, j-2) grows with j, so each order names one j, and
+    a component of an m with this many rows can only match one listed here.
+    """
+    orders = {}
     j = 2
-    while True:
-        r, c = l_oracle_dims(j)
-        if r == rows and c == cols:
-            return j
-        if r > rows:
-            return None
+    while (dims := l_oracle_dims(j))[0] <= rows:
+        orders[dims] = j
         j += 1
+    return orders
 
 
 def decompose_blocks(m: BitMatrix) -> BlockReport:
@@ -328,13 +331,15 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
     m.rows on. Each component's submatrix (rows and columns kept in index
     order) is checked with ``permutation_equivalent`` against the inclusion
     matrix build_a(j, j-1) of matching dimensions, which searches only
-    where bit equality fails. Zero columns are tallied separately; a zero
-    row is a component without columns, and unidentified.
+    where bit equality fails; j is looked up in one table of orders made
+    per call (``_candidate_orders``). Zero columns are tallied separately;
+    a zero row is a component without columns, and unidentified.
     """
     adj = _vertex_adjacency(m)
     seen = [False] * len(adj)
     labels: Counter[str] = Counter()
     unidentified = 0
+    orders = _candidate_orders(m.rows)
     for start in range(m.rows):
         if seen[start]:
             continue
@@ -355,7 +360,7 @@ def decompose_blocks(m: BitMatrix) -> BlockReport:
         pos = {u: t for t, u in enumerate(comp[split:])}
         words = tuple(sum(1 << pos[u] for u in adj[i]) for i in comp[:split])
         sub = BitMatrix(split, len(comp) - split, words)
-        j = _candidate_order(sub.rows, sub.cols)
+        j = orders.get((sub.rows, sub.cols))
         if j is not None and permutation_equivalent(sub, build_a(j, j - 1)):
             labels[f"L_{j}"] += 1
         else:

@@ -13,7 +13,7 @@ import random
 from math import comb
 from operator import xor
 
-from .bitmatrix import exact_rank, flip_transpose, gf2_rank, unpack_bits
+from .bitmatrix import BitMatrix, exact_rank, flip_transpose, gf2_mul, gf2_rank
 from .codes import (
     ENUMERATION_LIMIT,
     distance_bound,
@@ -23,13 +23,7 @@ from .codes import (
     make_code,
     weight_enumerator,
 )
-from .encoder import (
-    GapSystemInconsistent,
-    encode,
-    make_encoder,
-    split_sizes,
-    verify_codeword,
-)
+from .encoder import GapSystemInconsistent, make_encoder, split_sizes, verify_codewords
 from .families import build_a, build_b, dims_of, fragment_a
 from .incidence import build_l_oracle, build_m, decompose_blocks, permutation_equivalent
 
@@ -232,7 +226,10 @@ def encoder_report(grid=ENCODER_GRID) -> dict:
     """Consistency and verification table for the gap encoder over a grid.
 
     Each consistent cell encodes every unit message and RANDOM_MESSAGES
-    random ones drawn from RANDOM_SEED, and verifies every codeword.
+    random ones drawn from RANDOM_SEED, and verifies every codeword. The
+    messages are the rows of one matrix M, so the codewords are the one
+    product W = M·G with the encoder's generator G, and they are verified
+    together by one more, build_a(k, ell)·Wᵀ (``verify_codewords``).
     """
     entries = []
     ok = True
@@ -248,11 +245,12 @@ def encoder_report(grid=ENCODER_GRID) -> dict:
             continue
         entry["consistent"] = True
         entry["phi_rank"] = gf2_rank(enc.phi)
-        s = entry["message_len"]
         rng = random.Random(RANDOM_SEED)
-        messages = [unpack_bits(1 << i, s) for i in range(s)]
-        messages += [unpack_bits(rng.getrandbits(s), s) for _ in range(RANDOM_MESSAGES)]
-        verified = all(verify_codeword(k, ell, encode(enc, msg)) for msg in messages)
+        messages = [1 << i for i in range(message_len)]
+        messages += [rng.getrandbits(message_len) for _ in range(RANDOM_MESSAGES)]
+        generator = BitMatrix(message_len, dims_of(k, ell)[1], enc.generator)
+        words = gf2_mul(BitMatrix(len(messages), message_len, tuple(messages)), generator)
+        verified = verify_codewords(k, ell, words)
         entry["all_verified"] = verified
         ok &= verified
         entries.append(entry)

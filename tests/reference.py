@@ -20,7 +20,10 @@ columns, which the library never does: it reads the whole tail in one
 product. ``reassemble_by_blocks`` joins a ``Fragmentation`` from an
 identity, a stack and a compose instead of writing its rows, and
 ``lanes_by_replace`` spreads a row into rank_mod_p's lanes with two
-``str.replace`` passes instead of one slice assignment. The block
+``str.replace`` passes instead of one slice assignment.
+``candidate_order`` walks ``l_oracle_dims(j)`` up from j = 2 for each
+component instead of looking its order up in a table made once per
+decomposition. The block
 builders ``hollow_ones``, ``stack`` and ``compose`` live here too, for
 these oracles and for the tests that join ``make_code``'s pairs from
 blocks: the library writes each block layout's rows where it builds
@@ -35,6 +38,7 @@ from altmat.bitmatrix import column_supports, pack_bits, unpack_bits
 from altmat.codes import G1, G2, GleasonFit, WeightEnumerator, _poly_mul, _poly_pow
 from altmat.encoder import GapSystemInconsistent
 from altmat.formats import MM_HEADER, MatrixParseError
+from altmat.incidence import l_oracle_dims
 
 
 def row_ones(m, i):
@@ -697,3 +701,15 @@ def bipartite_isomorphism(a, b):
             continue
         stack.append(children(*refined, *target[:2]))
     return None
+
+
+def candidate_order(rows, cols):
+    """The j with l_oracle_dims(j) == (rows, cols), found by walking j up from 2, or None."""
+    j = 2
+    while True:
+        r, c = l_oracle_dims(j)
+        if (r, c) == (rows, cols):
+            return j
+        if r > rows:
+            return None
+        j += 1

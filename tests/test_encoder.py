@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -15,10 +15,13 @@ from altmat import (
     encode,
     fragment_a,
     gf2_matvec,
+    gf2_mul,
     make_encoder,
     split_sizes,
     verify_codeword,
+    verify_codewords,
 )
+from altmat.bitmatrix import unpack_bits
 from altmat.encoder import encoder_from_partition
 from altmat.reports import ENCODER_GRID
 
@@ -195,21 +198,71 @@ def test_matvec_agrees_with_encode_verification():
 
 
 def test_encoder_report_verifies_its_random_messages(monkeypatch):
-    # one codeword of a message that is not a unit vector fails to verify:
-    # only a report that verifies its random messages can see it
+    # a batch holding the codeword of a message that is not a unit vector
+    # fails to verify: only a report that verifies its random messages sees it
     from altmat import reports
 
     rejected = []
 
-    def verify(k, ell, x):
+    def verify(k, ell, words):
         s = split_sizes(k, ell)[1]
-        if not rejected and sum(x[-s:]) != 1:
-            rejected.append(x)
+        others = [w for w in words.bits if (w >> (words.cols - s)).bit_count() != 1]
+        if others:
+            rejected.extend(others)
             return False
-        return verify_codeword(k, ell, x)
+        return verify_codewords(k, ell, words)
 
-    monkeypatch.setattr(reports, "verify_codeword", verify)
+    monkeypatch.setattr(reports, "verify_codewords", verify)
     report = reports.encoder_report(grid=((4, 2),))
     assert rejected
     assert report["ok"] is False
     assert report["entries"][0]["all_verified"] is False
+
+
+BATCH_GRID = ENCODER_GRID + ((7, 5),)
+
+
+def generator_matrix(k, ell):
+    enc = make_encoder(k, ell)
+    return enc, BitMatrix(enc.partition.message_len, build_a(k, ell).cols, enc.generator)
+
+
+@st.composite
+def message_batches(draw):
+    """A grid cell and a batch of its messages, packed (bit i = message entry i)."""
+    k, ell = draw(st.sampled_from(BATCH_GRID))
+    s = split_sizes(k, ell)[1]
+    words = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=12))
+    return k, ell, BitMatrix(len(words), s, tuple(words))
+
+
+@settings(max_examples=50)
+@given(message_batches())
+def test_batch_product_matches_encode_per_message(batch):
+    k, ell, messages = batch
+    enc, gen = generator_matrix(k, ell)
+    words = gf2_mul(messages, gen)
+    for m, w in zip(messages.bits, words.bits):
+        assert unpack_bits(w, gen.cols) == encode(enc, unpack_bits(m, messages.cols))
+
+
+@settings(max_examples=50)
+@given(message_batches(), st.data())
+def test_verify_codewords_matches_verify_codeword(batch, data):
+    k, ell, messages = batch
+    _, gen = generator_matrix(k, ell)
+    bits = list(gf2_mul(messages, gen).bits)
+    flip = st.tuples(st.integers(0, len(bits) - 1), st.integers(0, gen.cols - 1))
+    for i, j in data.draw(st.lists(flip, max_size=3)):
+        bits[i] ^= 1 << j
+    words = BitMatrix(len(bits), gen.cols, tuple(bits))
+    expected = all(verify_codeword(k, ell, unpack_bits(w, gen.cols)) for w in words.bits)
+    assert verify_codewords(k, ell, words) == expected
+
+
+def test_verify_codewords_rejects_a_wrong_width():
+    with pytest.raises(ValueError, match="word must have length 6, got 5"):
+        verify_codewords(3, 2, BitMatrix.zeros(2, 5))
+    with pytest.raises(ValueError, match="word must have length 6, got 7"):
+        verify_codewords(3, 2, BitMatrix.zeros(1, 7))
+    assert verify_codewords(3, 2, BitMatrix.from_rows([[1, 0, 1, 0, 1, 0], [0] * 6]))

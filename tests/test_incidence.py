@@ -522,6 +522,37 @@ def test_decompose_row_and_column_totals_reconcile():
     assert cols + rep.zero_columns == m.cols
 
 
+class RecordingDict(dict):
+    """A dict that records every key looked up with ``get``."""
+
+    def __init__(self, table, seen):
+        super().__init__(table)
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_candidate_order_table_agrees_with_the_walk(monkeypatch, n):
+    seen = []
+    real = incidence._candidate_orders
+    monkeypatch.setattr(
+        incidence, "_candidate_orders", lambda rows: RecordingDict(real(rows), seen)
+    )
+    m = build_m(n)
+    rep = decompose_blocks(m)
+    # one lookup per component with columns, and build_m has no zero row
+    assert len(seen) == sum(rep.blocks.values()) + rep.unidentified
+    table = real(m.rows)
+    for dims in set(seen):
+        assert table.get(dims) == reference.candidate_order(*dims)
+    # shapes that are no order, some one entry off one, are in neither
+    for dims in [(4, 5), (15, 21), (14, 20), (1, 1), (m.rows, m.cols)]:
+        assert table.get(dims) == reference.candidate_order(*dims)
+
+
 # -- the identity shortcut ----------------------------------------------------------
 
 
