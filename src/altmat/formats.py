@@ -15,49 +15,40 @@ index strings. A MatrixMarket row is one string, "\\ni j" for each of its
 ones; an alist section's lines are rendered by ``_weight_line`` and
 ``_index_lines``.
 
-alist and MatrixMarket import have two routes. The canonical route reads
-a payload laid out as export writes it, a window of whole lines at a time
-(``_windows``): each window's text with its digits deleted must be
-export's blanks and newlines (so it is ASCII digits in single-blank-
-separated lines, the last one of the payload ending in a newline), it is
-split once, and its index tokens are converted through a table
-``{str(v): v}``, built once per section and no longer than the payload's
-token count, or through ``int()`` as a whole if the table misses one.
-MatrixMarket rows are runs of equal row tokens: the column tokens go
-through the table, and ``int()`` reads one row token per run, with no
-table; each run is OR-ed into its row word, so a row that a window
-boundary cuts in two, or whose entries stand apart, is read whole. An
-alist is read from its row section alone. Its column weights, which the
-header parse has already read from line 3 as ints, are compared as
-integers, not byte for byte, with the number of rows each column holds,
-and its column section must equal, byte for byte, what ``_index_lines``
-renders for those rows. Row words are summed from shifted bits, never set
-one entry at a time, so a repeated index shows as a popcount short of the
-entry count. Besides the rows of the matrix it returns, this route holds
-one window (its text, bytes, tokens and ints), tables no longer than the
-token count, and for an alist the written row names of each column's
-ones; it never copies a whole section, and nothing it allocates is sized
-from a number its header states.
+alist and MatrixMarket import read their index sections a window of whole
+lines at a time (``_windows``). A window laid out as export writes it is
+read as written: its text with the digits deleted must be export's blanks
+and newlines, it is split once, and its index tokens go through a table
+``{str(v): v}`` (``int()`` as a whole if the table misses one).
+MatrixMarket import is one pass in file order. Its rows are runs of equal
+row tokens (``int()`` reads one per run), each summed from shifted bits
+into its row word, and a window is kept only if its rows gained one bit
+per entry. Any other window (spellings such as "+3", tabs or "\\r", a last
+line without its newline, and every error) is read line by line in place,
+with its own line numbers, and the pass goes on. An alist is read as
+written from its row section: row i's first row_weights[i] tokens must be
+distinct indices (its popcount says so), the rest zeros, each column must
+hold as many of those rows as line 3 says, and the column section must
+equal, byte for byte, what ``_index_lines`` renders for them. Any other
+alist body is read line by line from its first column line, a window of
+lines at a time.
 
-A payload the canonical route declines (spellings such as "+3", tabs or
-"\\r" outside the header, alist column lines in another order, a missing
-final newline, and every malformed payload) goes through the
-line-by-line route, which defines the accepted language and every error:
-tokens are read as a plain ``int()`` parse reads them, and errors name
-the first bad line in file order. It sets one entry at a time into the
-row words, so a repeated index is the bit already set, and compares each
-alist row line with the ones of its word. Besides the payload's lines it
-holds the row words and one line's tokens at a time, and an alist's row
-count is bounded by its line count. A header whose shape is past
-``bitmatrix.within_limit`` is refused on its size line before anything
-is allocated.
+The line-by-line reading defines the accepted language and every error:
+tokens are read as a plain ``int()`` parse reads them, entries are set one
+at a time, so a repeated index is the bit already set, and errors name the
+first bad line in file order. Besides the matrix it returns, import holds
+one window (its text, bytes, tokens and ints, or its lines), its tables
+and, for an alist read as written, the written row names of each column's
+ones; it never splits a whole section. A header whose shape is past
+``bitmatrix.within_limit`` is refused on its size line before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, count, groupby, islice, repeat
+from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, lshift, ne
 
 from . import bitmatrix
@@ -69,15 +60,14 @@ MM_HEADER = "%%MatrixMarket matrix coordinate pattern general"
 
 _DIGITS = b"0123456789"
 
-# The canonical import routes read a section this many characters at a
-# time, cut back to the last newline (a longer line is a window of its own).
-# Measured on a 2-vCPU Xeon VM, CPython 3.11, importing build_b(6, 6) (1.5
-# MiB payloads): whole sections peaked at 28.9 MiB traced in MatrixMarket
-# and 15.3 MiB in alist. Windows of 2, 8, 32 and 64 KiB peaked at 0.19,
-# 0.39, 1.27 and 2.45 MiB in MatrixMarket (1.85, 1.94, 2.46 and 3.13 MiB in
-# alist, most of it the column lists); from 4 KiB up they imported in
-# 37-45 ms, within the spread of whole sections (45-46 ms), and 2 KiB
-# windows were 5-10 % slower.
+# Import reads a section this many characters at a time, cut back to the
+# last newline (a longer line is a window of its own). Measured on a 2-vCPU
+# Xeon VM, CPython 3.11, importing build_b(6, 6) (1.5 MiB payloads): a whole
+# section as one window peaked at 28.9 MiB traced in MatrixMarket and 18.6
+# MiB in alist. Windows of 2, 8, 32 and 64 KiB peaked at 0.12, 0.23, 0.71
+# and 1.38 MiB in MatrixMarket (1.85, 2.03, 2.88 and 3.97 MiB in alist,
+# most of it the column lists); from 4 KiB up they imported within the
+# spread of repeated runs, and 2 KiB windows were 4-10 % slower.
 _WINDOW = 1 << 13
 
 
@@ -174,13 +164,15 @@ def _windows(text: str, start: int, lines: int) -> Iterator[tuple[int, int, int]
     """The next ``lines`` lines of text from start, cut into windows of whole lines.
 
     A window is as many whole lines as fit in _WINDOW characters, or one
-    line that alone is longer. text must hold ``lines`` newlines from start
-    on. Yields each window as (start, stop, line count): its text is
-    text[start:stop], and nothing is copied here.
+    line that alone is longer. text must hold ``lines`` lines from start on,
+    as ``_lines`` cuts it; the last line of text may lack its newline, and
+    is then a window of its own. Yields each window as (start, stop, line
+    count): its text is text[start:stop], and nothing is copied here.
     """
     while lines:
-        stop = text.rfind("\n", start, start + _WINDOW) + 1 or text.index("\n", start) + 1
-        n = text.count("\n", start, stop)
+        stop = text.rfind("\n", start, start + _WINDOW) + 1
+        stop = stop or text.find("\n", start) + 1 or len(text)
+        n = text.count("\n", start, stop) or 1
         if n > lines:
             # the window holds the section's last line and more
             stop = start
@@ -272,7 +264,7 @@ def _parse_dense(text: str) -> BitMatrix:
 
 def _parse_matrixmarket(text: str) -> BitMatrix:
     # the lines up to the size line are cut off one at a time; the entry
-    # section stays in text, split into lines only to go line by line
+    # section stays in text and is read a window at a time
     line, start = _line_at(text, 0)
     header = line.split()
     expected = MM_HEADER.split()
@@ -296,56 +288,58 @@ def _parse_matrixmarket(text: str) -> BitMatrix:
     got = _line_count(text, after)
     if got != nnz:
         raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {got}")
-    words = _entries_as_written(text, after, nnz, rows, cols)
-    if words is None:
-        words = _entry_words_by_line(_lines(text[after:]), t + 2, rows, cols)
+    col_table = _table(1, cols, nnz)
+    words = [0] * rows
+    lineno = t + 2
+    for begin, stop, n in _windows(text, after, nnz):
+        window = text[begin:stop]
+        if not _entries_as_written(window, n, words, cols, col_table):
+            _entries_by_line(window, lineno, words, cols)
+        lineno += n
     return BitMatrix(rows, cols, tuple(words))
 
 
 def _entries_as_written(
-    text: str, start: int, nnz: int, rows: int, cols: int
-) -> list[int] | None:
-    """Row words of the MatrixMarket entries text[start:] laid out as export writes them.
+    window: str, n: int, words: list[int], cols: int, col_table: dict[str, int]
+) -> bool:
+    """OR n MatrixMarket entry lines laid out as export writes them into the row words.
 
-    The section must be nnz lines "i j", digits only, the last one ending in
-    a newline. It is read a window at a time (``_windows``): each window is
-    split once, and each run of equal row tokens in it is one row piece: the
-    column tokens go through a table, and int() reads the first row token of
-    each run. The pieces are OR-ed into the row words, which joins a row
-    that a window boundary cuts in two or whose entries stand apart. None
-    (the section then goes line by line) for any other layout, an index out
-    of range, or a repeated entry, which leaves the popcount short of nnz.
+    The window must be n lines "i j" of digits, each ending in a newline.
+    Each run of equal row tokens is one row piece: the column tokens go
+    through col_table, and int() reads the first row token of the run.
+    False, with the words as they were, for any other layout, an index out
+    of range or an entry that sets no new bit.
     """
-    if not text.endswith("\n"):
-        return None
-    col_table = _table(1, cols, nnz)
-    words = [0] * rows
-    for begin, stop, n in _windows(text, start, nnz):
-        window = text[begin:stop]
-        if not _laid_out(window, b" \n", n):
-            return None
-        tokens = window.split()
-        if len(tokens) != 2 * n:
-            return None
-        # runs of equal row tokens: as written, one run per row and window
-        runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
-        jj = _indices(tokens[1::2], col_table, 1, cols)
-        ii = _indices([token for token, _ in runs], {}, 1, rows)
-        if ii is None or jj is None:
-            return None
-        ends = list(accumulate(length for _, length in runs))
-        for i, first, end in zip(ii, [0, *ends], ends):
-            words[i - 1] |= _word(jj[first:end])
-    if sum(map(int.bit_count, words)) != nnz:
-        return None
-    return words
+    if not _laid_out(window, b" \n", n):
+        return False
+    tokens = window.split()
+    if len(tokens) != 2 * n:
+        return False
+    # runs of equal row tokens: as written, one run per row and window
+    runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
+    jj = _indices(tokens[1::2], col_table, 1, cols)
+    ii = _indices([token for token, _ in runs], {}, 1, len(words))
+    if ii is None or jj is None:
+        return False
+    rows = [i - 1 for i in ii]
+    if len(set(rows)) != len(rows):
+        return False
+    old = list(map(words.__getitem__, rows))
+    ends = list(accumulate(length for _, length in runs))
+    for i, first, end in zip(rows, [0, *ends], ends):
+        words[i] |= _word(jj[first:end])
+    # every entry set a new bit if the window's rows gained n ones
+    if sum(map(int.bit_count, map(words.__getitem__, rows))) - sum(map(int.bit_count, old)) == n:
+        return True
+    for i, word in zip(rows, old):
+        words[i] = word
+    return False
 
 
-def _entry_words_by_line(
-    entry_lines: list[str], first_lineno: int, rows: int, cols: int
-) -> list[int]:
-    words = [0] * rows
-    for lineno, line in enumerate(entry_lines, first_lineno):
+def _entries_by_line(window: str, lineno: int, words: list[int], cols: int) -> None:
+    """Set the MatrixMarket entries of window, whose first line is line lineno, one at a time."""
+    rows = len(words)
+    for lineno, line in enumerate(_lines(window), lineno):
         pair = _ints(line, lineno)
         if len(pair) != 2:
             raise MatrixParseError(lineno, "entries must be 'row col' pairs")
@@ -355,7 +349,6 @@ def _entry_words_by_line(
         if (words[i - 1] >> (j - 1)) & 1:
             raise MatrixParseError(lineno, f"duplicate entry ({i}, {j})")
         words[i - 1] |= 1 << (j - 1)
-    return words
 
 
 def _parse_alist(text: str) -> BitMatrix:
@@ -395,7 +388,7 @@ def _parse_alist(text: str) -> BitMatrix:
         raise MatrixParseError(4, "row and column weights disagree on the number of ones")
     words = _alist_as_written(text, start, cmax, rmax, col_weights, row_weights)
     if words is None:
-        words = _alist_words_by_line(_lines(text), cols, rows, col_weights, row_weights)
+        words = _alist_words_by_line(text, start, col_weights, row_weights)
     return BitMatrix(rows, cols, tuple(words))
 
 
@@ -466,13 +459,17 @@ def _alist_as_written(
 
 
 def _alist_words_by_line(
-    lines: list[str], cols: int, rows: int, col_weights: list[int], row_weights: list[int]
+    text: str, start: int, col_weights: list[int], row_weights: list[int]
 ) -> list[int]:
-    """Row words of an alist body, set from the column section one entry at a time."""
+    """Row words of the alist body text[start:], set from its column lines one entry at a time."""
+    cols, rows = len(col_weights), len(row_weights)
+    # the body's lines, split a window at a time
+    windows = _windows(text, start, cols + rows)
+    lines = chain.from_iterable(_lines(text[begin:stop]) for begin, stop, _ in windows)
     words = [0] * rows
-    for j, weight in enumerate(col_weights):
+    for j, (weight, line) in enumerate(zip(col_weights, lines)):
         lineno = 5 + j
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno)))
+        idx = list(filter(None, _ints(line, lineno)))
         if len(idx) != weight:
             raise MatrixParseError(
                 lineno, f"column {j + 1} lists {len(idx)} entries, header says {weight}"
@@ -483,9 +480,9 @@ def _alist_words_by_line(
             if words[i - 1] >> j & 1:
                 raise MatrixParseError(lineno, f"duplicate entry in column {j + 1}")
             words[i - 1] |= 1 << j
-    for i, weight in enumerate(row_weights, 1):
+    for i, (weight, line) in enumerate(zip(row_weights, lines), 1):
         lineno = 4 + cols + i
-        idx = list(filter(None, _ints(lines[lineno - 1], lineno)))
+        idx = list(filter(None, _ints(line, lineno)))
         if len(idx) != weight:
             raise MatrixParseError(
                 lineno, f"row {i} lists {len(idx)} entries, header says {weight}"

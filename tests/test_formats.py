@@ -12,6 +12,7 @@ from altmat import (
     build_m,
     dims_of,
     export_matrix,
+    formats,
     import_matrix,
 )
 import reference
@@ -310,6 +311,41 @@ def test_a_dense_import_peaks_at_a_window_not_a_section(fmt):
     # one window, its tables and the rows returned; an alist adds each
     # column's list of row names
     assert peak < (3 * len(text) if fmt == "alist" else 1 << 20)
+
+
+def _plus_in_line(text, t):
+    """text with a "+" before the first token of line t (0-based; -2 is the last line)."""
+    lines = text.split("\n")
+    lines[t] = "+" + lines[t]
+    return "\n".join(lines)
+
+
+def test_a_respelled_matrixmarket_import_peaks_at_a_window_not_a_section():
+    # one window goes line by line; the rest are read as written
+    m = build_b(6, 6)
+    text = _plus_in_line(export_matrix(m, "matrixmarket"), -2)
+    peak, got = traced_peak(import_matrix, text, "matrixmarket")
+    assert got == m
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("window", [formats._WINDOW, 64])
+@pytest.mark.parametrize("departure", ["no final newline", "plus"])
+def test_one_departure_from_export_sends_one_window_line_by_line(monkeypatch, window, departure):
+    m = build_b(5, 5)
+    text = export_matrix(m, "matrixmarket")
+    if departure == "no final newline":
+        text = text[:-1]
+    else:
+        text = _plus_in_line(text, text.count("\n") // 2)
+    calls = []
+    reader = formats._entries_by_line
+    monkeypatch.setattr(formats, "_WINDOW", window)
+    monkeypatch.setattr(
+        formats, "_entries_by_line", lambda *args: calls.append(args) or reader(*args)
+    )
+    assert import_matrix(text, "matrixmarket") == m
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["alist", "matrixmarket", "dense"])

@@ -80,13 +80,13 @@ def outcome(parse, text, fmt):
 
 
 def read_as_written(text, fmt):
-    """import_matrix(text, fmt) with the line-by-line routes made to raise."""
+    """import_matrix(text, fmt) with the line-by-line readers made to raise."""
 
     def refuse(*args):
         raise AssertionError("a payload as export writes it went line by line")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formats, "_entry_words_by_line", refuse)
+        mp.setattr(formats, "_entries_by_line", refuse)
         mp.setattr(formats, "_alist_words_by_line", refuse)
         return import_matrix(text, fmt)
 
