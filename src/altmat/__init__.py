@@ -4,7 +4,6 @@ from .bitmatrix import (
     BitMatrix,
     exact_rank,
     flip_transpose,
-    gf2_matvec,
     gf2_mul,
     gf2_rank,
     gf2_solve,

@@ -23,8 +23,10 @@ costs min(w, cols - w) XORs. For G·Hᵀ of ``codes.make_code(8, ·)``
 (2-vCPU Xeon VM, CPython 3.11) the dense pair took 1.96 s on set bits
 alone and 0.005 s this way; the sparse pair took 0.004 s either way. A caller's
 0/1 vector (``xor_selected``) is checked once and selects the rows it
-XORs with ``itertools.compress``; ``gf2_matvec`` reads A's columns
-(``BitMatrix.columns``), held on the matrix until it is freed.
+XORs with ``itertools.compress``. A·x for a ``build_a`` member needs no
+transpose: its flip-dual ``flip_transpose(build_a(k, ell)) ==
+build_a(ell, k)`` holds A's columns as its rows, both orders reversed
+(``encoder.verify_codeword``).
 
 GF(2) elimination has one kernel, ``gf2_basis``: each row is reduced by the
 basis member that owns its lowest set bit until it vanishes or owns a new
@@ -59,7 +61,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress, repeat
 from operator import xor
 from typing import Iterable, Sequence
@@ -119,7 +121,7 @@ def pack_bits(bits: Sequence[int]) -> int:
     return int(_bit_bytes(bits)[::-1].translate(_BIT_CHARS) or b"0", 2)
 
 
-def xor_selected(rows: Sequence[int], bits: Sequence[int]) -> int:
+def xor_selected(rows: Iterable[int], bits: Sequence[int]) -> int:
     """XOR of the rows[i] with bits[i] = 1; bits is as long as rows, all 0 or 1."""
     return reduce(xor, compress(rows, _bit_bytes(bits)), 0)
 
@@ -348,11 +350,6 @@ class BitMatrix:
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.bits)
 
-    @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """The packed columns (bit i = row i), built on first use, freed with the matrix."""
-        return tuple(_transpose_words(self.bits, self.cols))
-
 
 def flip_transpose(a: BitMatrix) -> BitMatrix:
     """Reflection across the anti-diagonal: result(i,j) = a(rows-j+1, cols-i+1).
@@ -390,16 +387,6 @@ def gf2_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             w ^= low
         words.append(acc)
     return BitMatrix(a.rows, b.cols, tuple(words))
-
-
-def gf2_matvec(a: BitMatrix, x: Sequence[int]) -> int:
-    """A·x over GF(2) for a 0/1 sequence x of length a.cols; returns the packed result.
-
-    A·x is the XOR of the columns of A that x selects (``BitMatrix.columns``).
-    """
-    if len(x) != a.cols:
-        raise ValueError(f"vector must have length {a.cols}, got {len(x)}")
-    return xor_selected(a.columns, x)
 
 
 def gf2_reduce(basis: dict[int, int], word: int) -> int:

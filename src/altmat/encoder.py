@@ -17,11 +17,13 @@ particular solution for e_j. With Y = (particular | I), whose row j is
 (p1 | e_j), they are built in bulk as (Y · Xᵀ | Y), one product for the
 whole tail X = (B | A), just as the gap system is the one product
 T·X = (T·B | T·A). A codeword is the XOR of the generator rows its
-message selects. Verification of one word XORs the columns of the cached
-build_a(k, ell) that the word selects (``gf2_matvec``); a batch of words,
-the rows of a matrix W, is verified by one product H·Wᵀ
-(``verify_codewords``), which XORs rows of Wᵀ at H's few ones per row
-instead of H's columns at about half the bits of every word.
+message selects. One word x is verified through the flip-dual member,
+flip_transpose(H) = build_a(ell, k) for H = build_a(k, ell): H·x is zero
+iff the rows of build_a(ell, k), last first, that x selects XOR to zero
+(``verify_codeword``). A batch of words, the rows of a matrix W, is
+verified by one product H·Wᵀ (``verify_codewords``), which XORs rows of
+Wᵀ at H's few ones per row instead of H's columns at about half the bits
+of every word.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Sequence
 from .bitmatrix import (
     BitMatrix,
     gf2_basis,
-    gf2_matvec,
     gf2_mul,
     gf2_rref,
     unpack_bits,
@@ -127,11 +128,16 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
-    """True iff build_a(k, ell) · x = 0 over GF(2)."""
-    h = build_a(k, ell)
-    if len(x) != h.cols:
-        raise ValueError(f"word must have length {h.cols}, got {len(x)}")
-    return gf2_matvec(h, x) == 0
+    """True iff build_a(k, ell) · x = 0 over GF(2).
+
+    build_a(k, ell)'s columns, last first, are the rows of build_a(ell, k)
+    with their bits reversed, and a reversed zero is zero; the rows are
+    reversed rather than the word, so a bad entry is named in x's order.
+    """
+    dual = build_a(ell, k)
+    if len(x) != dual.rows:
+        raise ValueError(f"word must have length {dual.rows}, got {len(x)}")
+    return xor_selected(reversed(dual.bits), x) == 0
 
 
 def verify_codewords(k: int, ell: int, words: BitMatrix) -> bool:

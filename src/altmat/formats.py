@@ -288,25 +288,28 @@ def _parse_matrixmarket(text: str) -> BitMatrix:
     got = _line_count(text, after)
     if got != nnz:
         raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {got}")
-    col_table = _table(1, cols, nnz)
+    col_table: dict[str, int] = {}
     words = [0] * rows
     lineno = t + 2
     for begin, stop, n in _windows(text, after, nnz):
         window = text[begin:stop]
-        if not _entries_as_written(window, n, words, cols, col_table):
+        if not _entries_as_written(window, n, words, cols, col_table, nnz):
             _entries_by_line(window, lineno, words, cols)
         lineno += n
     return BitMatrix(rows, cols, tuple(words))
 
 
 def _entries_as_written(
-    window: str, n: int, words: list[int], cols: int, col_table: dict[str, int]
+    window: str, n: int, words: list[int], cols: int, col_table: dict[str, int], nnz: int
 ) -> bool:
     """OR n MatrixMarket entry lines laid out as export writes them into the row words.
 
     The window must be n lines "i j" of digits, each ending in a newline.
     Each run of equal row tokens is one row piece: the column tokens go
     through col_table, and int() reads the first row token of the run.
+    col_table is filled, as ``_table(1, cols, nnz)``, at the first window
+    laid out as written, so a header's nnz over lines that are not entries
+    allocates no table.
     False, with the words as they were, for any other layout, an index out
     of range or an entry that sets no new bit.
     """
@@ -315,6 +318,8 @@ def _entries_as_written(
     tokens = window.split()
     if len(tokens) != 2 * n:
         return False
+    if not col_table:
+        col_table.update(_table(1, cols, nnz))
     # runs of equal row tokens: as written, one run per row and window
     runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
     jj = _indices(tokens[1::2], col_table, 1, cols)

@@ -4,6 +4,7 @@ Shapes cover small matrices, 1 x n and n x 1, all-zero and all-ones rows,
 rows wider than 64 and 128 bits, and pivots past bit 64.
 """
 
+import functools
 import random
 import tracemalloc
 import weakref
@@ -25,7 +26,6 @@ from altmat import (
     export_matrix,
     flip_transpose,
     gleason_fit,
-    gf2_matvec,
     gf2_mul,
     gf2_rank,
     gf2_solve,
@@ -213,35 +213,27 @@ def test_gf2_mul_of_balanced_rows_matches_reference(cols, data):
     assert gf2_mul(a, BitMatrix.zeros(cols, 5)) == BitMatrix.zeros(a.rows, 5)
 
 
-@settings(max_examples=100)
-@given(st.sampled_from(PRODUCT_WIDTHS), st.data())
-def test_gf2_matvec_matches_per_row_parity(cols, data):
-    m = data.draw(bit_matrices(max_rows=140, min_cols=cols, max_cols=cols))
-    x = data.draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols))
-    assert gf2_matvec(m, x) == reference.gf2_matvec(m, reference_pack(x))
-
-
 def reference_pack(bits):
     return sum(b << i for i, b in enumerate(bits))
 
 
 @pytest.mark.parametrize("bad", [2, -1, None])
-def test_gf2_matvec_and_verify_codeword_refuse_a_non_bit_entry(bad):
-    h = build_a(3, 2)
+def test_verify_codeword_refuses_a_non_bit_entry(bad):
     x = [1, 0, 1, 0, 1, bad]
-    for check in (lambda: gf2_matvec(h, x), lambda: verify_codeword(3, 2, x)):
-        with pytest.raises(ValueError) as exc:
-            check()
-        assert str(exc.value) == f"entry {bad!r} is not a bit"
+    with pytest.raises(ValueError) as exc:
+        verify_codeword(3, 2, x)
+    assert str(exc.value) == f"entry {bad!r} is not a bit"
+    # of two bad entries, the first in the word's own order is named
+    with pytest.raises(ValueError) as exc:
+        verify_codeword(3, 2, [bad, 0, 1, 0, 3, 0])
+    assert str(exc.value) == f"entry {bad!r} is not a bit"
 
 
 @pytest.mark.parametrize("n", [0, 5, 7])
-def test_gf2_matvec_and_verify_codeword_refuse_a_wrong_length(n):
-    h = build_a(3, 2)
-    with pytest.raises(ValueError, match=f"vector must have length 6, got {n}"):
-        gf2_matvec(h, [0] * n)
-    with pytest.raises(ValueError, match=f"word must have length 6, got {n}"):
+def test_verify_codeword_refuses_a_wrong_length(n):
+    with pytest.raises(ValueError) as exc:
         verify_codeword(3, 2, [0] * n)
+    assert str(exc.value) == f"word must have length 6, got {n}"
 
 
 def test_verify_codeword_matches_per_row_parity():
@@ -268,30 +260,60 @@ def test_verify_codeword_matches_per_row_parity():
         assert not verify_codeword(k, ell, flipped)
 
 
-def test_columns_die_with_the_cached_matrix():
-    # the columns are held on the matrix, so clearing build_a's cache frees them
-    build_a.cache_clear()
-    h = build_a(7, 5)
-    gf2_matvec(h, [1] + [0] * (h.cols - 1))
-    assert "columns" in vars(h)
-    alive = weakref.ref(h)
-    del h
-    build_a.cache_clear()
-    assert alive() is None
+# ell = 1, ell >= k, the encoder's cells and codec's (7, 5)
+VERIFY_CELLS = sorted(
+    {(1, 1), (4, 1), (9, 1), (1, 5), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (5, 5), (4, 8)}
+    | set(ENCODER_GRID)
+    | {(7, 5)}
+)
 
 
-def test_columns_of_a75_stay_small():
-    # 462 columns of 330 bits; the packed rows are 18.6 KiB
-    h = build_a(7, 5)
-    fresh = BitMatrix(h.rows, h.cols, h.bits)
-    tracemalloc.start()
-    try:
-        columns = fresh.columns
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert columns == h.transpose().bits
-    assert held <= 40 * 1024
+@functools.cache
+def kernel_basis(k, ell):
+    """Packed basis of {x : build_a(k, ell)·x = 0}, one member per free column."""
+    h = build_a(k, ell)
+    words, pivots = reference.gf2_eliminate(h.bits, h.cols)
+    free = sorted(set(range(h.cols)) - set(pivots))
+    return [1 << f | sum(1 << c for w, c in zip(words, pivots) if w >> f & 1) for f in free]
+
+
+@pytest.mark.parametrize("k,ell", VERIFY_CELLS)
+def test_flip_transpose_of_each_verified_cell_is_its_dual(k, ell):
+    h = build_a(k, ell)
+    assert flip_transpose(h) == build_a(ell, k)
+    assert all(reference.gf2_matvec(h, x) == 0 for x in kernel_basis(k, ell))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(VERIFY_CELLS), st.randoms(use_true_random=False), st.data())
+def test_verify_codeword_matches_reference_on_planted_codewords(cell, rng, data):
+    h = build_a(*cell)
+    basis = kernel_basis(*cell)
+    codeword = 0
+    for x in basis:
+        codeword ^= x * rng.getrandbits(1)
+    flips = data.draw(st.lists(st.integers(0, h.cols - 1), max_size=2))
+    word = codeword
+    for i in flips:
+        word ^= 1 << i
+    for w in (codeword, word, rng.getrandbits(h.cols)):
+        expected = reference.gf2_matvec(h, w) == 0
+        assert verify_codeword(*cell, unpack_bits(w, h.cols)) == expected
+    assert verify_codeword(*cell, unpack_bits(codeword, h.cols))
+    # no column of build_a is zero, so one flipped bit always shows
+    if len(flips) == 1:
+        assert not verify_codeword(*cell, unpack_bits(word, h.cols))
+
+
+def test_verification_holds_nothing_on_the_cached_members():
+    build_a.cache_clear()
+    assert verify_codeword(7, 5, [0] * 462)
+    h, dual = build_a(7, 5), build_a(5, 7)
+    assert set(vars(h)) == set(vars(dual)) == {"rows", "cols", "bits"}
+    alive = [weakref.ref(h), weakref.ref(dual)]
+    del h, dual
+    build_a.cache_clear()
+    assert [ref() for ref in alive] == [None, None]
 
 
 @settings(max_examples=50)
@@ -352,7 +374,7 @@ def test_generator_rows_are_the_unit_codewords(k, ell):
     assert len(enc.generator) == s
     for j, row in enumerate(enc.generator):
         unit = tuple(int(t == j) for t in range(s))
-        assert gf2_matvec(h, unpack_bits(row, h.cols)) == 0
+        assert reference.gf2_matvec(h, row) == 0
         assert row >> (h.cols - s) == 1 << j
         word = encode(enc, unit)
         assert word == unpack_bits(row, h.cols)

@@ -14,7 +14,6 @@ from altmat import (
     build_a,
     encode,
     fragment_a,
-    gf2_matvec,
     gf2_mul,
     make_encoder,
     split_sizes,
@@ -194,7 +193,8 @@ def test_inconsistent_gap_system_is_reported_with_an_index():
 
 def test_matvec_agrees_with_encode_verification():
     h = build_a(3, 2)
-    assert gf2_matvec(h, (1, 0, 1, 0, 1, 0)) == 0
+    assert reference.gf2_matvec(h, 0b010101) == 0
+    assert verify_codeword(3, 2, (1, 0, 1, 0, 1, 0))
 
 
 def test_encoder_report_verifies_its_random_messages(monkeypatch):

@@ -285,6 +285,10 @@ SPARSE_PAYLOADS = [
     pytest.param("alist", OVERSTATED_ALIST, id="overstated-weight-alist"),
     # headers that state 10^8 ones, or lines 10^8 tokens long, over a tiny payload
     pytest.param("matrixmarket", f"{MM[0]}\n2 2 100000000\n1 1\n2 2\n", id="overstated-nnz-mm"),
+    # a header's nnz matched by as many empty lines, refused on line 3
+    pytest.param(
+        "matrixmarket", f"{MM[0]}\n1 60000 60000\n" + "\n" * 60000, id="empty-entries-mm"
+    ),
     pytest.param(
         "alist", "1 1\n100000000 100000000\n100000000\n100000000\n1\n1\n",
         id="overstated-width-alist",
