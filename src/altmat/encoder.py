@@ -17,13 +17,12 @@ particular solution for e_j. With Y = (particular | I), whose row j is
 (p1 | e_j), they are built in bulk as (Y · Xᵀ | Y), one product for the
 whole tail X = (B | A), just as the gap system is the one product
 T·X = (T·B | T·A). A codeword is the XOR of the generator rows its
-message selects. One word x is verified through the flip-dual member,
-flip_transpose(H) = build_a(ell, k) for H = build_a(k, ell): H·x is zero
-iff the rows of build_a(ell, k), last first, that x selects XOR to zero
-(``verify_codeword``). A batch of words, the rows of a matrix W, is
-verified by one product H·Wᵀ (``verify_codewords``), which XORs rows of
-Wᵀ at H's few ones per row instead of H's columns at about half the bits
-of every word.
+message selects. One word x, packed once, is a codeword of
+H = build_a(k, ell) iff every row of H meets it in an even number of ones
+(``verify_codeword``): nothing is transposed and no other family member
+is built. A batch of words, the rows of a matrix W, is verified by one
+product H·Wᵀ (``verify_codewords``), which XORs rows of Wᵀ at H's few
+ones per row instead of H's columns at about half the bits of every word.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .bitmatrix import (
     gf2_basis,
     gf2_mul,
     gf2_rref,
+    pack_bits,
     unpack_bits,
     xor_selected,
 )
@@ -128,16 +128,15 @@ def encode(enc: Encoder, message: Sequence[int]) -> tuple[int, ...]:
 
 
 def verify_codeword(k: int, ell: int, x: Sequence[int]) -> bool:
-    """True iff build_a(k, ell) · x = 0 over GF(2).
-
-    build_a(k, ell)'s columns, last first, are the rows of build_a(ell, k)
-    with their bits reversed, and a reversed zero is zero; the rows are
-    reversed rather than the word, so a bad entry is named in x's order.
-    """
-    dual = build_a(ell, k)
-    if len(x) != dual.rows:
-        raise ValueError(f"word must have length {dual.rows}, got {len(x)}")
-    return xor_selected(reversed(dual.bits), x) == 0
+    """True iff build_a(k, ell) · x = 0 over GF(2): each row meets x in an even number of ones."""
+    h = build_a(k, ell)
+    if len(x) != h.cols:
+        raise ValueError(f"word must have length {h.cols}, got {len(x)}")
+    xw = pack_bits(x)
+    for w in h.bits:
+        if (w & xw).bit_count() & 1:
+            return False
+    return True
 
 
 def verify_codewords(k: int, ell: int, words: BitMatrix) -> bool:

@@ -288,38 +288,37 @@ def _parse_matrixmarket(text: str) -> BitMatrix:
     got = _line_count(text, after)
     if got != nnz:
         raise MatrixParseError(t + 2, f"expected {nnz} entry lines, got {got}")
+    # the column table is built at the first window laid out as written, so
+    # a header's nnz over lines that are not entries allocates none
     col_table: dict[str, int] = {}
     words = [0] * rows
     lineno = t + 2
     for begin, stop, n in _windows(text, after, nnz):
         window = text[begin:stop]
-        if not _entries_as_written(window, n, words, cols, col_table, nnz):
+        laid_out = _laid_out(window, b" \n", n)
+        if laid_out and not col_table:
+            col_table = _table(1, cols, nnz)
+        if not (laid_out and _entries_as_written(window, n, words, cols, col_table)):
             _entries_by_line(window, lineno, words, cols)
         lineno += n
     return BitMatrix(rows, cols, tuple(words))
 
 
 def _entries_as_written(
-    window: str, n: int, words: list[int], cols: int, col_table: dict[str, int], nnz: int
+    window: str, n: int, words: list[int], cols: int, col_table: dict[str, int]
 ) -> bool:
     """OR n MatrixMarket entry lines laid out as export writes them into the row words.
 
-    The window must be n lines "i j" of digits, each ending in a newline.
-    Each run of equal row tokens is one row piece: the column tokens go
-    through col_table, and int() reads the first row token of the run.
-    col_table is filled, as ``_table(1, cols, nnz)``, at the first window
-    laid out as written, so a header's nnz over lines that are not entries
-    allocates no table.
-    False, with the words as they were, for any other layout, an index out
-    of range or an entry that sets no new bit.
+    The caller has checked that the window is n lines "i j", each ending in
+    a newline, once its digits are deleted (``_laid_out``). Each run of
+    equal row tokens is one row piece: the column tokens go through
+    col_table, and int() reads the first row token of the run.
+    False, with the words as they were, for a line missing a token, an
+    index out of range or an entry that sets no new bit.
     """
-    if not _laid_out(window, b" \n", n):
-        return False
     tokens = window.split()
     if len(tokens) != 2 * n:
         return False
-    if not col_table:
-        col_table.update(_table(1, cols, nnz))
     # runs of equal row tokens: as written, one run per row and window
     runs = [(token, len(list(run))) for token, run in groupby(tokens[0::2])]
     jj = _indices(tokens[1::2], col_table, 1, cols)

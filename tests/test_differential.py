@@ -6,6 +6,7 @@ rows wider than 64 and 128 bits, and pivots past bit 64.
 
 import functools
 import random
+import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -23,6 +24,7 @@ from altmat import (
     WeightEnumerator,
     build_a,
     build_b,
+    dims_of,
     export_matrix,
     flip_transpose,
     gleason_fit,
@@ -308,12 +310,36 @@ def test_verify_codeword_matches_reference_on_planted_codewords(cell, rng, data)
 def test_verification_holds_nothing_on_the_cached_members():
     build_a.cache_clear()
     assert verify_codeword(7, 5, [0] * 462)
-    h, dual = build_a(7, 5), build_a(5, 7)
-    assert set(vars(h)) == set(vars(dual)) == {"rows", "cols", "bits"}
-    alive = [weakref.ref(h), weakref.ref(dual)]
-    del h, dual
+    checked = build_a.cache_info().currsize
+    h = build_a(7, 5)
+    assert set(vars(h)) == {"rows", "cols", "bits"}
+    alive = weakref.ref(h)
+    del h
     build_a.cache_clear()
-    assert [ref() for ref in alive] == [None, None]
+    assert alive() is None
+    # the check builds build_a(7, 5), through its recursion, and no other member
+    build_a(7, 5)
+    assert build_a.cache_info().currsize == checked
+
+
+@pytest.mark.parametrize("k,ell", [(600, 1), (200, 2)])
+def test_verify_codeword_of_a_thin_cell_peaks_near_its_member(k, ell):
+    # build_a(600, 1) is one row of 600 ones, build_a(200, 2) 201 rows of
+    # 20100 bits; the check holds the member and one packed word, whatever
+    # the other members of the family would cost
+    cols = dims_of(k, ell)[1]
+    build_a.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_codeword(k, ell, [0] * cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = build_a(k, ell)
+    assert not verify_codeword(k, ell, [1] + [0] * (cols - 1))
+    assert verify_codeword(k, ell, [1, 1] + [0] * (cols - 2)) == (ell == 1)
+    build_a.cache_clear()
+    assert peak <= 2 * sum(map(sys.getsizeof, h.bits)) + 512 * 1024
 
 
 @settings(max_examples=50)

@@ -191,12 +191,6 @@ def test_inconsistent_gap_system_is_reported_with_an_index():
     assert "basis index 0" in str(exc.value)
 
 
-def test_matvec_agrees_with_encode_verification():
-    h = build_a(3, 2)
-    assert reference.gf2_matvec(h, 0b010101) == 0
-    assert verify_codeword(3, 2, (1, 0, 1, 0, 1, 0))
-
-
 def test_encoder_report_verifies_its_random_messages(monkeypatch):
     # a batch holding the codeword of a message that is not a unit vector
     # fails to verify: only a report that verifies its random messages sees it
